@@ -1,11 +1,13 @@
 #include "coll/coll.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <numeric>
+#include <string>
 
 #include "common/assert.hpp"
+#include "common/units.hpp"
 #include "mpi/comm.hpp"
 #include "obs/recorder.hpp"
 
@@ -13,30 +15,73 @@ namespace nmx::coll {
 
 namespace {
 
-// Collective-engine tags live above every legacy collective tag (<= 8502).
-// Distinct ops use distinct blocks; within an op, blocking rounds are
-// disambiguated by source rank, so small tag windows suffice.
-constexpr int kTagBarrier = 9000;      // + round (dissemination)
-constexpr int kTagBarrierUp = 9040;    // tree gather
-constexpr int kTagBarrierDown = 9041;  // tree release
-constexpr int kTagBarrierRing0 = 9050; // token pass 1
-constexpr int kTagBarrierRing1 = 9051; // token pass 2 (release)
-constexpr int kTagBcast = 9100;        // binomial / k-ary tree
-constexpr int kTagBcastRing = 9150;    // + (chunk & 15)
-constexpr int kTagBcastScatter = 9180;
-constexpr int kTagBcastAg = 9250;      // + (step & 15)
-constexpr int kTagReduce = 9200;       // tree reduce (allreduce up-phase)
-constexpr int kTagRd = 9300;           // .. 9302 (recursive doubling)
-constexpr int kTagRs = 9400;           // + (step & 15) (ring reduce-scatter)
-constexpr int kTagRag = 9450;          // + (step & 15) (ring allgather)
-constexpr int kTagA2aPair = 9500;      // + (round & 15)
-constexpr int kTagA2aBruck = 9550;
-constexpr int kTagA2aXor = 9560;
-constexpr int kTagA2aWin = 9580;       // + (round & 15)
+using obs::CollOp;
 
-const char* const kOpName[] = {"barrier", "bcast", "allreduce", "alltoall"};
+/// Arity of Algo::Kary trees and window of the windowed alltoall.
+constexpr int kKary = 4;
+/// Pipeline chunk of the ring bcast: chunks this size flow down the chain
+/// with a bounded send window, so a long broadcast overlaps hops.
+constexpr std::size_t kRingChunk = 256_KiB;
+
+// ---------------------------------------------------------------------------
+// Tag table. Every collective tag lives here, on the communicator's
+// collective context. Each public op owns one 128-tag block (its CollOp id
+// times 128); each message class of the op's algorithms owns a 16-tag window
+// of that block, and multi-round phases use window + (round & 15). The wrap
+// bounds the per-(peer, tag) matching entries, which nmad::Core never frees:
+// a fresh tag per round or per call would leak one per peer each time.
+// ---------------------------------------------------------------------------
+
+constexpr int tag(CollOp op, int window) { return static_cast<int>(op) * 128 + window * 16; }
+
+constexpr int kTagBarrier = tag(CollOp::Barrier, 0);          // + round (dissemination)
+constexpr int kTagBarrierTree = tag(CollOp::Barrier, 1);      // +0 gather, +1 release
+constexpr int kTagBarrierRing = tag(CollOp::Barrier, 2);      // +0 entry, +1 release circuit
+constexpr int kTagBcast = tag(CollOp::Bcast, 0);              // binomial / k-ary tree
+constexpr int kTagBcastRing = tag(CollOp::Bcast, 1);          // + chunk
+constexpr int kTagBcastScatter = tag(CollOp::Bcast, 2);       // scatter-allgather: scatter
+constexpr int kTagBcastAg = tag(CollOp::Bcast, 3);            // + step (its allgather)
+constexpr int kTagAllreduceUp = tag(CollOp::Allreduce, 0);    // tree reduce
+constexpr int kTagAllreduceDown = tag(CollOp::Allreduce, 1);  // tree bcast
+constexpr int kTagRd = tag(CollOp::Allreduce, 2);   // +0 fold in, +1 doubling, +2 fold out
+constexpr int kTagRs = tag(CollOp::Allreduce, 3);   // + step (ring reduce-scatter)
+constexpr int kTagRag = tag(CollOp::Allreduce, 4);  // + step (ring allgather)
+constexpr int kTagA2aPair = tag(CollOp::Alltoall, 0);         // + round
+constexpr int kTagA2aBruck = tag(CollOp::Alltoall, 1);
+constexpr int kTagA2aXor = tag(CollOp::Alltoall, 2);
+constexpr int kTagA2aWin = tag(CollOp::Alltoall, 3);          // + round
+constexpr int kTagReduce = tag(CollOp::Reduce, 0);
+constexpr int kTagGather = tag(CollOp::Gather, 0);
+constexpr int kTagScatter = tag(CollOp::Scatter, 0);
+constexpr int kTagAllgather = tag(CollOp::Allgather, 0);      // + step
+constexpr int kTagAlltoallv = tag(CollOp::Alltoallv, 0);      // + round
+constexpr int kTagScan = tag(CollOp::Scan, 0);
 
 }  // namespace
+
+/// Block b of a P-block buffer: explicit byte counts and displacements
+/// (alltoallv), or `total` units of `unit` bytes split into P near-equal
+/// blocks, the first total % P of them one unit larger (see even()).
+/// Computed on the fly rather than stored: MVAPICH2's registration cache
+/// keys on host addresses, so every heap allocation a collective adds can
+/// move the virtual time of later transfers.
+struct Engine::Blocks {
+  const std::size_t* counts = nullptr;
+  const std::size_t* displs = nullptr;
+  std::size_t base = 0, rem = 0, unit = 0;
+
+  static Blocks even(std::size_t total, int P, std::size_t unit) {
+    const auto n = static_cast<std::size_t>(P);
+    return Blocks{nullptr, nullptr, total / n, total % n, unit};
+  }
+  std::size_t off(int b) const {
+    const auto i = static_cast<std::size_t>(b);
+    return displs != nullptr ? displs[i] : (i * base + std::min(i, rem)) * unit;
+  }
+  std::size_t len(int b) const {
+    return counts != nullptr ? counts[static_cast<std::size_t>(b)] : off(b + 1) - off(b);
+  }
+};
 
 const char* to_string(Algo a) {
   switch (a) {
@@ -48,27 +93,6 @@ const char* to_string(Algo a) {
     case Algo::NicOffload: return "nic";
   }
   return "?";
-}
-
-Algo parse_algo(const std::string& s) {
-  if (s == "binomial") return Algo::Binomial;
-  if (s == "kary") return Algo::Kary;
-  if (s == "ring") return Algo::Ring;
-  if (s == "recdbl") return Algo::RecDoubling;
-  if (s == "nic") return Algo::NicOffload;
-  return Algo::Auto;
-}
-
-void Config::apply_env() {
-  if (const char* v = std::getenv("NMX_COLL_ALGO")) {
-    const Algo a = parse_algo(v);
-    barrier = bcast = allreduce = alltoall = a;
-  }
-  if (const char* v = std::getenv("NMX_COLL_BARRIER")) barrier = parse_algo(v);
-  if (const char* v = std::getenv("NMX_COLL_BCAST")) bcast = parse_algo(v);
-  if (const char* v = std::getenv("NMX_COLL_ALLREDUCE")) allreduce = parse_algo(v);
-  if (const char* v = std::getenv("NMX_COLL_ALLTOALL")) alltoall = parse_algo(v);
-  if (const char* v = std::getenv("NMX_COLL_KARY")) kary = std::max(2, std::atoi(v));
 }
 
 // ---------------------------------------------------------------------------
@@ -86,41 +110,31 @@ mpi::TxRequest* Engine::post_recv(mpi::Comm& c, int src, int tag, void* buf, std
   return c.tx_.irecv(c.global(src), tag, ctx(c), buf, cap);
 }
 
-void Engine::wait(mpi::Comm& c, mpi::TxRequest* r) {
-  // Same bookkeeping as Comm::wait: the MpiWait End arg names the span the
-  // wait resolved on (a critical-path edge).
-  const obs::SpanId waited = r->span;
-  const obs::SpanId sp = c.span_begin(obs::Cat::MpiWait);
-  c.tx_.wait(c.actor_, r);
-  c.span_end(obs::Cat::MpiWait, sp, 0, static_cast<std::int64_t>(waited));
-  c.tx_.release(r);
-}
-
 void Engine::send(mpi::Comm& c, const void* buf, std::size_t len, int dst, int tag) {
-  wait(c, post_send(c, dst, tag, buf, len));
+  c.wait_release(post_send(c, dst, tag, buf, len));
 }
 
 void Engine::recv(mpi::Comm& c, void* buf, std::size_t cap, int src, int tag) {
-  wait(c, post_recv(c, src, tag, buf, cap));
+  c.wait_release(post_recv(c, src, tag, buf, cap));
 }
 
 void Engine::sendrecv(mpi::Comm& c, const void* sbuf, std::size_t slen, int dst, int stag,
                       void* rbuf, std::size_t rcap, int src, int rtag) {
   mpi::TxRequest* rr = post_recv(c, src, rtag, rbuf, rcap);
   mpi::TxRequest* sr = post_send(c, dst, stag, sbuf, slen);
-  wait(c, sr);
-  wait(c, rr);
+  c.wait_release(sr);
+  c.wait_release(rr);
 }
 
-std::uint64_t Engine::phase_begin(mpi::Comm& c, int op_id, Algo algo, std::size_t bytes) {
+std::uint64_t Engine::phase_begin(mpi::Comm& c, CollOp op, Algo algo, std::size_t bytes) {
   if (obs::Recorder* r = c.rec()) {
-    const std::string label = std::string("op=") + kOpName[op_id];
+    const std::string label =
+        std::string("op=") + obs::kCollOpNames[static_cast<std::size_t>(op)];
     r->metrics().counter("nmad.coll.count", label).add(1);
     if (bytes != 0) r->metrics().counter("nmad.coll.bytes", label).add(bytes);
   }
   return c.span_begin(obs::Cat::Coll, bytes,
-                      (static_cast<std::int64_t>(op_id) << 8) |
-                          static_cast<std::int64_t>(algo));
+                      (static_cast<std::int64_t>(op) << 8) | static_cast<std::int64_t>(algo));
 }
 
 void Engine::phase_end(mpi::Comm& c, std::uint64_t sp, std::size_t bytes) {
@@ -160,18 +174,43 @@ bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op, int root) {
   const int world_parent = parent >= 0 ? c.global((parent + root) % c.size_) : -1;
   mpi::TxRequest* r = c.tx_.nic_coll(id, world_parent, world_kids, op, value);
   if (r == nullptr) return false;  // no NIC unit on this stack: host fallback
-  wait(c, r);
+  c.wait_release(r);
   return true;
+}
+
+void Engine::ring_allgather(mpi::Comm& c, std::byte* buf, const Blocks& blocks, int first,
+                            int tag) {
+  const int P = c.size_;
+  const int right = (c.rank_ + 1) % P;
+  const int left = (c.rank_ - 1 + P) % P;
+  int cur = first;
+  for (int step = 0; step < P - 1; ++step) {
+    const int in = (cur - 1 + P) % P;
+    const int t = tag + (step & 15);
+    sendrecv(c, buf + blocks.off(cur), blocks.len(cur), right, t, buf + blocks.off(in),
+             blocks.len(in), left, t);
+    cur = in;
+  }
+}
+
+void Engine::pairwise(mpi::Comm& c, const std::byte* in, const Blocks& sb, std::byte* out,
+                      const Blocks& rb, int tag) {
+  for (int k = 1; k < c.size_; ++k) {
+    const int dst = (c.rank_ + k) % c.size_;
+    const int src = (c.rank_ - k + c.size_) % c.size_;
+    const int t = tag + (k & 15);
+    sendrecv(c, in + sb.off(dst), sb.len(dst), dst, t, out + rb.off(src), rb.len(src), src, t);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // barrier
 // ---------------------------------------------------------------------------
 
-void Engine::barrier(mpi::Comm& c, const Config& cfg) {
+void Engine::barrier(mpi::Comm& c) {
   if (c.size_ == 1) return;
-  const Algo a = resolve_barrier(cfg.barrier);
-  const std::uint64_t sp = phase_begin(c, 0, a, 0);
+  const Algo a = resolve_barrier(c.coll_.barrier);
+  const std::uint64_t sp = phase_begin(c, CollOp::Barrier, a, 0);
   switch (a) {
     case Algo::NicOffload: {
       double v = 0;
@@ -179,7 +218,7 @@ void Engine::barrier(mpi::Comm& c, const Config& cfg) {
       break;
     }
     case Algo::Binomial: barrier_tree(c, 0); break;
-    case Algo::Kary: barrier_tree(c, std::max(2, cfg.kary)); break;
+    case Algo::Kary: barrier_tree(c, kKary); break;
     case Algo::Ring: barrier_ring(c); break;
     default: barrier_dissemination(c); break;
   }
@@ -191,19 +230,20 @@ void Engine::barrier_dissemination(mpi::Comm& c) {
   for (int k = 1; k < c.size_; k <<= 1, ++round) {
     const int dst = (c.rank_ + k) % c.size_;
     const int src = (c.rank_ - k + c.size_) % c.size_;
-    sendrecv(c, nullptr, 0, dst, kTagBarrier + round, nullptr, 0, src, kTagBarrier + round);
+    const int t = kTagBarrier + (round & 15);
+    sendrecv(c, nullptr, 0, dst, t, nullptr, 0, src, t);
   }
 }
 
 void Engine::barrier_tree(mpi::Comm& c, int arity) {
   std::vector<int> kids;
   const int parent = tree_edges(c.rank_, c.size_, arity, &kids);
-  for (const int k : kids) recv(c, nullptr, 0, k, kTagBarrierUp);
+  for (const int k : kids) recv(c, nullptr, 0, k, kTagBarrierTree);
   if (parent >= 0) {
-    send(c, nullptr, 0, parent, kTagBarrierUp);
-    recv(c, nullptr, 0, parent, kTagBarrierDown);
+    send(c, nullptr, 0, parent, kTagBarrierTree);
+    recv(c, nullptr, 0, parent, kTagBarrierTree + 1);
   }
-  for (const int k : kids) send(c, nullptr, 0, k, kTagBarrierDown);
+  for (const int k : kids) send(c, nullptr, 0, k, kTagBarrierTree + 1);
 }
 
 void Engine::barrier_ring(mpi::Comm& c) {
@@ -211,16 +251,14 @@ void Engine::barrier_ring(mpi::Comm& c) {
   // releases them.
   const int right = (c.rank_ + 1) % c.size_;
   const int left = (c.rank_ - 1 + c.size_) % c.size_;
-  if (c.rank_ == 0) {
-    send(c, nullptr, 0, right, kTagBarrierRing0);
-    recv(c, nullptr, 0, left, kTagBarrierRing0);
-    send(c, nullptr, 0, right, kTagBarrierRing1);
-    recv(c, nullptr, 0, left, kTagBarrierRing1);
-  } else {
-    recv(c, nullptr, 0, left, kTagBarrierRing0);
-    send(c, nullptr, 0, right, kTagBarrierRing0);
-    recv(c, nullptr, 0, left, kTagBarrierRing1);
-    send(c, nullptr, 0, right, kTagBarrierRing1);
+  for (int t = kTagBarrierRing; t <= kTagBarrierRing + 1; ++t) {
+    if (c.rank_ == 0) {
+      send(c, nullptr, 0, right, t);
+      recv(c, nullptr, 0, left, t);
+    } else {
+      recv(c, nullptr, 0, left, t);
+      send(c, nullptr, 0, right, t);
+    }
   }
 }
 
@@ -228,14 +266,14 @@ void Engine::barrier_ring(mpi::Comm& c) {
 // bcast
 // ---------------------------------------------------------------------------
 
-void Engine::bcast(mpi::Comm& c, void* buf, std::size_t len, int root, const Config& cfg) {
+void Engine::bcast(mpi::Comm& c, void* buf, std::size_t len, int root) {
   if (c.size_ == 1) return;
-  Algo a = resolve_bcast(cfg.bcast);
+  Algo a = resolve_bcast(c.coll_.bcast);
   // The NIC unit broadcasts exactly one double; the ring pipeline degenerates
   // on empty payloads. Everything else falls back to the binomial tree.
   if (a == Algo::NicOffload && len != sizeof(double)) a = Algo::Binomial;
   if ((a == Algo::Ring || a == Algo::RecDoubling) && len == 0) a = Algo::Binomial;
-  const std::uint64_t sp = phase_begin(c, 1, a, len);
+  const std::uint64_t sp = phase_begin(c, CollOp::Bcast, a, len);
   switch (a) {
     case Algo::NicOffload: {
       double v = 0;
@@ -243,39 +281,39 @@ void Engine::bcast(mpi::Comm& c, void* buf, std::size_t len, int root, const Con
       if (nic_combine_tree(c, &v, /*op=*/4, root)) {
         std::memcpy(buf, &v, sizeof v);
       } else {
-        bcast_tree(c, buf, len, root, 0);
+        bcast_tree(c, buf, len, root, 0, kTagBcast);
       }
       break;
     }
-    case Algo::Kary: bcast_tree(c, buf, len, root, std::max(2, cfg.kary)); break;
-    case Algo::Ring: bcast_ring(c, buf, len, root, cfg.ring_chunk); break;
+    case Algo::Kary: bcast_tree(c, buf, len, root, kKary, kTagBcast); break;
+    case Algo::Ring: bcast_ring(c, buf, len, root); break;
     case Algo::RecDoubling: bcast_scatter_allgather(c, buf, len, root); break;
-    default: bcast_tree(c, buf, len, root, 0); break;
+    default: bcast_tree(c, buf, len, root, 0, kTagBcast); break;
   }
   phase_end(c, sp, len);
 }
 
-void Engine::bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity) {
+void Engine::bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity,
+                        int tag) {
   const int vr = (c.rank_ - root + c.size_) % c.size_;
   std::vector<int> kids;
   const int parent = tree_edges(vr, c.size_, arity, &kids);
-  if (parent >= 0) recv(c, buf, len, (parent + root) % c.size_, kTagBcast);
+  if (parent >= 0) recv(c, buf, len, (parent + root) % c.size_, tag);
   // Largest subtree first (binomial kids ascend, so iterate in reverse): the
   // deep branches start flowing before the leaves.
   for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-    send(c, buf, len, (*it + root) % c.size_, kTagBcast);
+    send(c, buf, len, (*it + root) % c.size_, tag);
   }
 }
 
-void Engine::bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root, std::size_t chunk) {
+void Engine::bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root) {
   const int vr = (c.rank_ - root + c.size_) % c.size_;
   const int prev = vr > 0 ? (vr - 1 + root) % c.size_ : -1;
   const int next = vr + 1 < c.size_ ? (vr + 1 + root) % c.size_ : -1;
-  chunk = std::max<std::size_t>(chunk, 1);
   auto* p = static_cast<std::byte*>(buf);
   std::deque<mpi::TxRequest*> inflight;
-  for (std::size_t off = 0, i = 0; off < len; off += chunk, ++i) {
-    const std::size_t n = std::min(chunk, len - off);
+  for (std::size_t off = 0, i = 0; off < len; off += kRingChunk, ++i) {
+    const std::size_t n = std::min(kRingChunk, len - off);
     const int tag = kTagBcastRing + static_cast<int>(i & 15);
     if (prev >= 0) recv(c, p + off, n, prev, tag);
     if (next >= 0) {
@@ -283,13 +321,13 @@ void Engine::bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root, std:
       // Window of two outstanding chunks keeps the pipe full without
       // unbounded posted sends.
       while (inflight.size() > 2) {
-        wait(c, inflight.front());
+        c.wait_release(inflight.front());
         inflight.pop_front();
       }
     }
   }
   while (!inflight.empty()) {
-    wait(c, inflight.front());
+    c.wait_release(inflight.front());
     inflight.pop_front();
   }
 }
@@ -300,14 +338,7 @@ void Engine::bcast_scatter_allgather(mpi::Comm& c, void* buf, std::size_t len, i
   const int P = c.size_;
   const int vr = (c.rank_ - root + P) % P;
   auto* p = static_cast<std::byte*>(buf);
-  const std::size_t base = len / static_cast<std::size_t>(P);
-  const std::size_t rem = len % static_cast<std::size_t>(P);
-  const auto bsz = [&](int b) {
-    return base + (static_cast<std::size_t>(b) < rem ? 1 : 0);
-  };
-  const auto boff = [&](int b) {
-    return static_cast<std::size_t>(b) * base + std::min(static_cast<std::size_t>(b), rem);
-  };
+  const Blocks b = Blocks::even(len, P, 1);
 
   // Scatter: vr's subtree owns blocks [vr, vr + lowbit(vr)).
   int lowbit = vr == 0 ? 1 : (vr & -vr);
@@ -315,83 +346,71 @@ void Engine::bcast_scatter_allgather(mpi::Comm& c, void* buf, std::size_t len, i
     while (lowbit < P) lowbit <<= 1;
   } else {
     const int hi = std::min(vr + lowbit, P);
-    recv(c, p + boff(vr), boff(hi) - boff(vr), ((vr - lowbit) + root) % P, kTagBcastScatter);
+    recv(c, p + b.off(vr), b.off(hi) - b.off(vr), ((vr - lowbit) + root) % P, kTagBcastScatter);
   }
   for (int m = lowbit >> 1; m >= 1; m >>= 1) {
     if (vr + m < P) {
       const int hi = std::min(vr + 2 * m, P);
-      send(c, p + boff(vr + m), boff(hi) - boff(vr + m), (vr + m + root) % P, kTagBcastScatter);
+      send(c, p + b.off(vr + m), b.off(hi) - b.off(vr + m), (vr + m + root) % P,
+           kTagBcastScatter);
     }
   }
-
-  // Ring allgather over the virtual-rank ring.
-  const int right = (vr + 1) % P;
-  const int left = (vr - 1 + P) % P;
-  int cur = vr;
-  for (int step = 0; step < P - 1; ++step) {
-    const int incoming = (cur - 1 + P) % P;
-    const int tag = kTagBcastAg + (step & 15);
-    sendrecv(c, p + boff(cur), bsz(cur), (right + root) % P, tag, p + boff(incoming),
-             bsz(incoming), (left + root) % P, tag);
-    cur = incoming;
-  }
+  ring_allgather(c, p, b, vr, kTagBcastAg);
 }
 
 // ---------------------------------------------------------------------------
-// allreduce
+// reduce / allreduce / scan
 // ---------------------------------------------------------------------------
 
-void Engine::allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                       const ReduceFn& fold, int nic_op, const Config& cfg) {
+void Engine::reduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                    const ReduceFn& fold, int root) {
   if (c.size_ == 1) return;
   const std::size_t bytes = elem * count;
-  Algo a = resolve_allreduce(cfg.allreduce);
+  const std::uint64_t sp = phase_begin(c, CollOp::Reduce, Algo::Auto, bytes);
+  reduce_tree(c, data, elem, count, fold, root, 0, kTagReduce);
+  phase_end(c, sp, bytes);
+}
+
+void Engine::allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                       const ReduceFn& fold, int nic_op) {
+  if (c.size_ == 1) return;
+  const std::size_t bytes = elem * count;
+  Algo a = resolve_allreduce(c.coll_.allreduce);
   if (a == Algo::NicOffload && !(nic_op >= 0 && count == 1 && elem == sizeof(double))) {
     a = Algo::Binomial;  // the NIC unit combines exactly one double
   }
-  const std::uint64_t sp = phase_begin(c, 2, a, bytes);
-  switch (a) {
-    case Algo::NicOffload: {
-      double v = 0;
-      std::memcpy(&v, data, sizeof v);
-      if (nic_combine_tree(c, &v, nic_op, /*root=*/0)) {
-        std::memcpy(data, &v, sizeof v);
-      } else {
-        reduce_tree(c, data, elem, count, fold, 0);
-        bcast_tree(c, data, bytes, 0, 0);
-      }
-      break;
-    }
-    case Algo::Kary: {
-      const int arity = std::max(2, cfg.kary);
-      reduce_tree(c, data, elem, count, fold, arity);
-      bcast_tree(c, data, bytes, 0, arity);
-      break;
-    }
-    case Algo::RecDoubling: allreduce_rd_impl(c, data, elem, count, fold); break;
-    case Algo::Ring: allreduce_ring(c, data, elem, count, fold); break;
-    default:
-      reduce_tree(c, data, elem, count, fold, 0);
-      bcast_tree(c, data, bytes, 0, 0);
-      break;
+  const std::uint64_t sp = phase_begin(c, CollOp::Allreduce, a, bytes);
+  const int arity = a == Algo::Kary ? kKary : 0;
+  double v = 0;
+  if (a == Algo::NicOffload) std::memcpy(&v, data, sizeof v);
+  if (a == Algo::RecDoubling) {
+    allreduce_recdbl(c, data, elem, count, fold);
+  } else if (a == Algo::Ring) {
+    allreduce_ring(c, data, elem, count, fold);
+  } else if (a == Algo::NicOffload && nic_combine_tree(c, &v, nic_op, /*root=*/0)) {
+    std::memcpy(data, &v, sizeof v);
+  } else {
+    reduce_tree(c, data, elem, count, fold, 0, arity, kTagAllreduceUp);
+    bcast_tree(c, data, bytes, 0, arity, kTagAllreduceDown);
   }
   phase_end(c, sp, bytes);
 }
 
 void Engine::reduce_tree(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                         const ReduceFn& fold, int arity) {
+                         const ReduceFn& fold, int root, int arity, int tag) {
+  const int P = c.size_;
   std::vector<int> kids;
-  const int parent = tree_edges(c.rank_, c.size_, arity, &kids);
+  const int parent = tree_edges((c.rank_ - root + P) % P, P, arity, &kids);
   std::vector<std::byte> tmp(elem * count);
   for (const int k : kids) {
-    recv(c, tmp.data(), tmp.size(), k, kTagReduce);
+    recv(c, tmp.data(), tmp.size(), (k + root) % P, tag);
     fold(data, tmp.data(), count);
   }
-  if (parent >= 0) send(c, data, elem * count, parent, kTagReduce);
+  if (parent >= 0) send(c, data, elem * count, (parent + root) % P, tag);
 }
 
-void Engine::allreduce_rd_impl(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                               const ReduceFn& fold) {
+void Engine::allreduce_recdbl(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                              const ReduceFn& fold) {
   // Recursive doubling with the MPICH non-power-of-two fold: excess ranks
   // contribute to a partner, sit out the doubling, and get the result after.
   const std::size_t bytes = elem * count;
@@ -441,15 +460,8 @@ void Engine::allreduce_ring(mpi::Comm& c, void* data, std::size_t elem, std::siz
   // bandwidth-optimal 2*count*(P-1)/P elements total.
   const int P = c.size_;
   auto* p = static_cast<std::byte*>(data);
-  const std::size_t base = count / static_cast<std::size_t>(P);
-  const std::size_t rem = count % static_cast<std::size_t>(P);
-  const auto bsz = [&](int b) {
-    return base + (static_cast<std::size_t>(b) < rem ? 1 : 0);
-  };
-  const auto boff = [&](int b) {
-    return static_cast<std::size_t>(b) * base + std::min(static_cast<std::size_t>(b), rem);
-  };
-  std::vector<std::byte> tmp((base + (rem != 0 ? 1 : 0)) * elem);
+  const Blocks b = Blocks::even(count, P, elem);
+  std::vector<std::byte> tmp(b.len(0));  // block 0 is a largest block
   const int right = (c.rank_ + 1) % P;
   const int left = (c.rank_ - 1 + P) % P;
 
@@ -457,53 +469,133 @@ void Engine::allreduce_ring(mpi::Comm& c, void* data, std::size_t elem, std::siz
     const int sb = (c.rank_ - s + P) % P;
     const int rb = (c.rank_ - s - 1 + 2 * P) % P;
     const int tag = kTagRs + (s & 15);
-    sendrecv(c, p + boff(sb) * elem, bsz(sb) * elem, right, tag, tmp.data(), bsz(rb) * elem,
-             left, tag);
-    fold(p + boff(rb) * elem, tmp.data(), bsz(rb));
+    sendrecv(c, p + b.off(sb), b.len(sb), right, tag, tmp.data(), b.len(rb), left, tag);
+    fold(p + b.off(rb), tmp.data(), b.len(rb) / elem);
   }
   // Rank r now owns the fully reduced block (r+1) mod P; circulate it.
-  for (int s = 0; s < P - 1; ++s) {
-    const int sb = (c.rank_ + 1 - s + 2 * P) % P;
-    const int rb = (c.rank_ - s + 2 * P) % P;
-    const int tag = kTagRag + (s & 15);
-    sendrecv(c, p + boff(sb) * elem, bsz(sb) * elem, right, tag, p + boff(rb) * elem,
-             bsz(rb) * elem, left, tag);
+  ring_allgather(c, p, b, (c.rank_ + 1) % P, kTagRag);
+}
+
+void Engine::scan(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                  const ReduceFn& fold) {
+  // Linear pipeline: receive the prefix from rank-1, fold in our values,
+  // forward to rank+1.
+  if (c.size_ == 1) return;
+  const std::size_t bytes = elem * count;
+  const std::uint64_t sp = phase_begin(c, CollOp::Scan, Algo::Auto, bytes);
+  if (c.rank_ > 0) {
+    std::vector<std::byte> prefix(bytes);
+    recv(c, prefix.data(), bytes, c.rank_ - 1, kTagScan);
+    fold(data, prefix.data(), count);
   }
+  if (c.rank_ + 1 < c.size_) send(c, data, bytes, c.rank_ + 1, kTagScan);
+  phase_end(c, sp, bytes);
 }
 
 // ---------------------------------------------------------------------------
-// alltoall
+// gather / scatter / allgather
 // ---------------------------------------------------------------------------
 
-void Engine::alltoall(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf,
-                      const Config& cfg) {
+void Engine::gather(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf,
+                    int root) {
+  auto* out = static_cast<std::byte*>(recvbuf);
+  if (c.rank_ == root) std::memcpy(out + static_cast<std::size_t>(root) * block, sendbuf, block);
+  if (c.size_ == 1) return;
+  const std::size_t bytes = block * static_cast<std::size_t>(c.size_);
+  const std::uint64_t sp = phase_begin(c, CollOp::Gather, Algo::Auto, bytes);
+  if (c.rank_ == root) {
+    std::vector<mpi::TxRequest*> reqs;
+    reqs.reserve(static_cast<std::size_t>(c.size_ - 1));
+    for (int p = 0; p < c.size_; ++p) {
+      if (p != root) {
+        reqs.push_back(post_recv(c, p, kTagGather, out + static_cast<std::size_t>(p) * block,
+                                 block));
+      }
+    }
+    for (mpi::TxRequest* q : reqs) c.wait_release(q);
+  } else {
+    send(c, sendbuf, block, root, kTagGather);
+  }
+  phase_end(c, sp, bytes);
+}
+
+void Engine::scatter(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf,
+                     int root) {
+  const auto* in = static_cast<const std::byte*>(sendbuf);
+  if (c.size_ == 1) {
+    std::memcpy(recvbuf, in, block);
+    return;
+  }
+  const std::size_t bytes = block * static_cast<std::size_t>(c.size_);
+  const std::uint64_t sp = phase_begin(c, CollOp::Scatter, Algo::Auto, bytes);
+  if (c.rank_ == root) {
+    std::vector<mpi::TxRequest*> reqs;
+    reqs.reserve(static_cast<std::size_t>(c.size_ - 1));
+    for (int p = 0; p < c.size_; ++p) {
+      if (p != root) {
+        reqs.push_back(post_send(c, p, kTagScatter, in + static_cast<std::size_t>(p) * block,
+                                 block));
+      }
+    }
+    std::memcpy(recvbuf, in + static_cast<std::size_t>(root) * block, block);
+    for (mpi::TxRequest* q : reqs) c.wait_release(q);
+  } else {
+    recv(c, recvbuf, block, root, kTagScatter);
+  }
+  phase_end(c, sp, bytes);
+}
+
+void Engine::allgather(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf) {
+  auto* out = static_cast<std::byte*>(recvbuf);
+  std::memcpy(out + static_cast<std::size_t>(c.rank_) * block, sendbuf, block);
+  if (c.size_ == 1) return;
+  const std::size_t bytes = block * static_cast<std::size_t>(c.size_);
+  const std::uint64_t sp = phase_begin(c, CollOp::Allgather, Algo::Auto, bytes);
+  ring_allgather(c, out, Blocks::even(c.size_, c.size_, block), c.rank_, kTagAllgather);
+  phase_end(c, sp, bytes);
+}
+
+// ---------------------------------------------------------------------------
+// alltoall / alltoallv
+// ---------------------------------------------------------------------------
+
+void Engine::alltoall(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf) {
   const auto* in = static_cast<const std::byte*>(sendbuf);
   auto* out = static_cast<std::byte*>(recvbuf);
   std::memcpy(out + static_cast<std::size_t>(c.rank_) * block,
               in + static_cast<std::size_t>(c.rank_) * block, block);
   if (c.size_ == 1) return;
-  Algo a = resolve_alltoall(cfg.alltoall);
+  Algo a = resolve_alltoall(c.coll_.alltoall);
   if (a == Algo::NicOffload) a = Algo::Ring;  // no NIC path for alltoall
   if (a == Algo::RecDoubling && (c.size_ & (c.size_ - 1)) != 0) a = Algo::Ring;
-  const std::uint64_t sp = phase_begin(c, 3, a, block * static_cast<std::size_t>(c.size_));
+  const std::size_t bytes = block * static_cast<std::size_t>(c.size_);
+  const std::uint64_t sp = phase_begin(c, CollOp::Alltoall, a, bytes);
   switch (a) {
     case Algo::Binomial: alltoall_bruck(c, in, block, out); break;
     case Algo::RecDoubling: alltoall_xor(c, in, block, out); break;
-    case Algo::Kary: alltoall_windowed(c, in, block, out, std::max(2, cfg.kary)); break;
-    default: alltoall_pairwise(c, in, block, out); break;
+    case Algo::Kary: alltoall_windowed(c, in, block, out); break;
+    default: {
+      const Blocks even = Blocks::even(c.size_, c.size_, block);
+      pairwise(c, in, even, out, even, kTagA2aPair);
+      break;
+    }
   }
-  phase_end(c, sp, block * static_cast<std::size_t>(c.size_));
+  phase_end(c, sp, bytes);
 }
 
-void Engine::alltoall_pairwise(mpi::Comm& c, const std::byte* in, std::size_t block,
-                               std::byte* out) {
-  for (int k = 1; k < c.size_; ++k) {
-    const int dst = (c.rank_ + k) % c.size_;
-    const int src = (c.rank_ - k + c.size_) % c.size_;
-    const int tag = kTagA2aPair + (k & 15);
-    sendrecv(c, in + static_cast<std::size_t>(dst) * block, block, dst, tag,
-             out + static_cast<std::size_t>(src) * block, block, src, tag);
-  }
+void Engine::alltoallv(mpi::Comm& c, const void* sendbuf, const std::size_t* sendcounts,
+                       const std::size_t* senddispls, void* recvbuf,
+                       const std::size_t* recvcounts, const std::size_t* recvdispls) {
+  const auto* in = static_cast<const std::byte*>(sendbuf);
+  auto* out = static_cast<std::byte*>(recvbuf);
+  std::memcpy(out + recvdispls[c.rank_], in + senddispls[c.rank_], sendcounts[c.rank_]);
+  if (c.size_ == 1) return;
+  const std::size_t bytes =
+      std::accumulate(sendcounts, sendcounts + c.size_, std::size_t{0});
+  const std::uint64_t sp = phase_begin(c, CollOp::Alltoallv, Algo::Auto, bytes);
+  pairwise(c, in, Blocks{sendcounts, senddispls}, out, Blocks{recvcounts, recvdispls},
+           kTagAlltoallv);
+  phase_end(c, sp, bytes);
 }
 
 void Engine::alltoall_bruck(mpi::Comm& c, const std::byte* in, std::size_t block,
@@ -561,13 +653,13 @@ void Engine::alltoall_xor(mpi::Comm& c, const std::byte* in, std::size_t block,
 }
 
 void Engine::alltoall_windowed(mpi::Comm& c, const std::byte* in, std::size_t block,
-                               std::byte* out, int window) {
-  // Nonblocking batches of `window` peers: receives posted first so eager
+                               std::byte* out) {
+  // Nonblocking batches of kKary peers: receives posted first so eager
   // arrivals match instead of queueing unexpected.
   const int P = c.size_;
   std::vector<mpi::TxRequest*> reqs;
-  for (int lo = 1; lo < P; lo += window) {
-    const int hi = std::min(lo + window, P);
+  for (int lo = 1; lo < P; lo += kKary) {
+    const int hi = std::min(lo + kKary, P);
     reqs.clear();
     for (int k = lo; k < hi; ++k) {
       const int src = (c.rank_ - k + P) % P;
@@ -581,7 +673,7 @@ void Engine::alltoall_windowed(mpi::Comm& c, const std::byte* in, std::size_t bl
           post_send(c, dst, kTagA2aWin + (k & 15), in + static_cast<std::size_t>(dst) * block,
                     block));
     }
-    for (mpi::TxRequest* q : reqs) wait(c, q);
+    for (mpi::TxRequest* q : reqs) c.wait_release(q);
   }
 }
 

@@ -1,8 +1,9 @@
-// Topology/rail-aware collective engine. One implementation of the MPI
-// collectives (barrier, bcast, allreduce, alltoall) with selectable
-// per-collective algorithms — binomial and k-ary trees, ring, recursive
+// Topology/rail-aware collective engine: the one implementation of every
+// MPI collective behind mpi::Comm (barrier, bcast, allreduce, alltoall with
+// selectable algorithms — binomial and k-ary trees, ring, recursive
 // doubling, and a modeled NIC-offloaded combine tree (Yu/Buntinas/Graham/
-// Panda) — that all stacks share through mpi::Comm.
+// Panda); reduce, gather, scatter, allgather, alltoallv and scan with one
+// algorithm each), shared by all stacks.
 //
 // Every host-tree edge is an ordinary transport send, so its rail choice and
 // rendezvous chunking route through the NewMadeleine cost model
@@ -21,15 +22,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include "common/units.hpp"
 
 namespace nmx::mpi {
 class Comm;
 struct TxRequest;
 }  // namespace nmx::mpi
+
+namespace nmx::obs {
+enum class CollOp : std::uint8_t;
+}  // namespace nmx::obs
 
 namespace nmx::coll {
 
@@ -40,7 +42,7 @@ namespace nmx::coll {
 enum class Algo : std::uint8_t {
   Auto,         ///< the op's default algorithm
   Binomial,     ///< binomial tree (alltoall: Bruck's log-round algorithm)
-  Kary,         ///< k-ary tree, arity Config::kary (alltoall: windowed pairwise)
+  Kary,         ///< k-ary tree, arity 4 (alltoall: pairwise, window of 4)
   Ring,         ///< ring / pipelined chain (alltoall: shifted pairwise)
   RecDoubling,  ///< recursive doubling (bcast: binomial scatter + ring allgather)
   NicOffload,   ///< NIC combine tree; falls back to a host tree when the
@@ -48,69 +50,68 @@ enum class Algo : std::uint8_t {
 };
 
 const char* to_string(Algo a);
-/// Parse "auto|binomial|kary|ring|recdbl|nic"; unknown text yields Auto.
-Algo parse_algo(const std::string& s);
 
+/// Algorithm selection of the four ops that have a choice.
 struct Config {
   Algo barrier = Algo::Auto;
   Algo bcast = Algo::Auto;
   Algo allreduce = Algo::Auto;
   Algo alltoall = Algo::Auto;
-  /// Tree arity for Algo::Kary (also the in-flight window of the windowed
-  /// alltoall). Clamped to >= 2 at use.
-  int kary = 4;
-  /// Pipeline chunk of the ring bcast: chunks this size flow down the chain
-  /// with a bounded send window, so a long broadcast overlaps hops. Sized to
-  /// a few rendezvous quanta by default.
-  std::size_t ring_chunk = 256_KiB;
-
-  /// Environment overrides: NMX_COLL_ALGO sets all four ops, then
-  /// NMX_COLL_BARRIER / NMX_COLL_BCAST / NMX_COLL_ALLREDUCE /
-  /// NMX_COLL_ALLTOALL override per op ("auto|binomial|kary|ring|recdbl|nic")
-  /// and NMX_COLL_KARY sets the arity. Unset variables leave the
-  /// programmatic configuration untouched.
-  void apply_env();
 };
 
 /// Element-wise reduction: fold `count` elements of `in` into `inout`.
 using ReduceFn = std::function<void(void* inout, const void* in, std::size_t count)>;
 
+/// Every op runs on the communicator's collective context with the
+/// algorithm its coll::Config (Comm::set_coll_config) selects.
 class Engine {
  public:
-  static void barrier(mpi::Comm& c, const Config& cfg);
-  static void bcast(mpi::Comm& c, void* buf, std::size_t len, int root, const Config& cfg);
+  static void barrier(mpi::Comm& c);
+  static void bcast(mpi::Comm& c, void* buf, std::size_t len, int root);
   /// In-place allreduce: `data` holds this rank's `count` contributions of
   /// `elem` bytes and receives the combined vector. `nic_op` >= 0 (the NIC
   /// combine op code) marks a payload the NIC unit can take — one double —
   /// and is only honoured under Algo::NicOffload.
   static void allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                        const ReduceFn& fold, int nic_op, const Config& cfg);
-  static void alltoall(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf,
-                       const Config& cfg);
+                        const ReduceFn& fold, int nic_op);
+  /// In-place binomial reduce: `data` is this rank's contribution and, at
+  /// `root`, receives the result (scratch elsewhere).
+  static void reduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                     const ReduceFn& fold, int root);
+  /// In-place inclusive prefix reduction (linear chain).
+  static void scan(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                   const ReduceFn& fold);
+  /// `block` bytes per rank; the root's buffer holds size()*block (linear).
+  static void gather(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf,
+                     int root);
+  static void scatter(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf,
+                      int root);
+  static void allgather(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf);
+  static void alltoall(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf);
+  /// Byte counts and displacements per peer (shifted pairwise).
+  static void alltoallv(mpi::Comm& c, const void* sendbuf, const std::size_t* sendcounts,
+                        const std::size_t* senddispls, void* recvbuf,
+                        const std::size_t* recvcounts, const std::size_t* recvdispls);
 
-  // Auto resolution, exposed so tests can pin the default per op.
+ private:
+  // Auto resolution per op.
   static Algo resolve_barrier(Algo a) { return a == Algo::Auto ? Algo::RecDoubling : a; }
   static Algo resolve_bcast(Algo a) { return a == Algo::Auto ? Algo::Binomial : a; }
   static Algo resolve_allreduce(Algo a) { return a == Algo::Auto ? Algo::Binomial : a; }
   static Algo resolve_alltoall(Algo a) { return a == Algo::Auto ? Algo::Ring : a; }
 
- private:
   // --- pt2pt plumbing on the collective context ----------------------------
-  // Replicates Comm's csend/crecv family through friendship: same context,
-  // same MpiWait span bookkeeping (the critpath walker needs the End arg to
-  // name the request a wait resolved on).
   static int ctx(const mpi::Comm& c);
   static mpi::TxRequest* post_send(mpi::Comm& c, int dst, int tag, const void* buf,
                                    std::size_t len);
   static mpi::TxRequest* post_recv(mpi::Comm& c, int src, int tag, void* buf, std::size_t cap);
-  static void wait(mpi::Comm& c, mpi::TxRequest* r);
   static void send(mpi::Comm& c, const void* buf, std::size_t len, int dst, int tag);
   static void recv(mpi::Comm& c, void* buf, std::size_t cap, int src, int tag);
   static void sendrecv(mpi::Comm& c, const void* sbuf, std::size_t slen, int dst, int stag,
                        void* rbuf, std::size_t rcap, int src, int rtag);
 
-  // Cat::Coll span + nmad.coll.* metrics around one collective phase.
-  static std::uint64_t phase_begin(mpi::Comm& c, int op_id, Algo algo, std::size_t bytes);
+  // Cat::Coll span + nmad.coll.* metrics around one collective op.
+  static std::uint64_t phase_begin(mpi::Comm& c, obs::CollOp op, Algo algo, std::size_t bytes);
   static void phase_end(mpi::Comm& c, std::uint64_t sp, std::size_t bytes);
 
   /// Binomial (arity == 0) or k-ary parent/children of `vr` in a tree rooted
@@ -127,26 +128,36 @@ class Engine {
   static void barrier_ring(mpi::Comm& c);
 
   // bcast bodies
-  static void bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity);
-  static void bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root, std::size_t chunk);
+  static void bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity, int tag);
+  static void bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root);
   static void bcast_scatter_allgather(mpi::Comm& c, void* buf, std::size_t len, int root);
 
-  // allreduce bodies (root 0 where rooted)
+  // reduce / allreduce bodies
   static void reduce_tree(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                          const ReduceFn& fold, int arity);
-  static void allreduce_rd_impl(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                                const ReduceFn& fold);
+                          const ReduceFn& fold, int root, int arity, int tag);
+  static void allreduce_recdbl(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
+                               const ReduceFn& fold);
   static void allreduce_ring(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
                              const ReduceFn& fold);
 
+  /// Where block b of a P-block buffer lives (defined in coll.cpp).
+  struct Blocks;
+  /// Ring allgather of the P blocks of `buf`: this rank starts with block
+  /// `first` and every step forwards the block it last received to its
+  /// right neighbour.
+  static void ring_allgather(mpi::Comm& c, std::byte* buf, const Blocks& blocks, int first,
+                             int tag);
+  /// Shifted pairwise exchange: round k sends block rank+k of `in` to rank+k
+  /// and receives block rank-k of `out` from rank-k.
+  static void pairwise(mpi::Comm& c, const std::byte* in, const Blocks& sb, std::byte* out,
+                       const Blocks& rb, int tag);
+
   // alltoall bodies
-  static void alltoall_pairwise(mpi::Comm& c, const std::byte* in, std::size_t block,
-                                std::byte* out);
   static void alltoall_bruck(mpi::Comm& c, const std::byte* in, std::size_t block,
                              std::byte* out);
   static void alltoall_xor(mpi::Comm& c, const std::byte* in, std::size_t block, std::byte* out);
   static void alltoall_windowed(mpi::Comm& c, const std::byte* in, std::size_t block,
-                                std::byte* out, int window);
+                                std::byte* out);
 };
 
 }  // namespace nmx::coll

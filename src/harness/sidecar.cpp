@@ -12,9 +12,13 @@ namespace nmx::harness {
 bool write_sidecars(mpi::Cluster& cluster, const std::string& stem) {
   obs::Recorder* rec = cluster.recorder();
   if (rec == nullptr) return false;
-  obs::write_chrome_trace_file(*rec, stem + ".trace.json");
-  obs::write_metrics_csv_file(*rec, stem + ".metrics.csv");
-  return true;
+  const std::string trace = stem + ".trace.json";
+  const std::string csv = stem + ".metrics.csv";
+  const bool trace_ok = obs::write_chrome_trace_file(*rec, trace);
+  const bool csv_ok = obs::write_metrics_csv_file(*rec, csv);
+  if (!trace_ok) std::fprintf(stderr, "sidecar: cannot write %s\n", trace.c_str());
+  if (!csv_ok) std::fprintf(stderr, "sidecar: cannot write %s\n", csv.c_str());
+  return trace_ok && csv_ok;
 }
 
 std::vector<obs::RailParam> rail_params(const mpi::ClusterConfig& cfg) {

@@ -14,7 +14,8 @@
 namespace nmx::harness {
 
 /// Write `<stem>.trace.json` and `<stem>.metrics.csv` from the cluster's
-/// recorder. Returns false (and writes nothing) if tracing was off.
+/// recorder. Returns false if tracing was off (nothing written) or if either
+/// file cannot be written; each failing path is printed to stderr.
 bool write_sidecars(mpi::Cluster& cluster, const std::string& stem);
 
 /// Analytic rail parameters (lambda = wire latency + per-message cost,
@@ -31,8 +32,9 @@ bool write_report_sidecar(const obs::Report& rep, const std::string& stem);
 
 /// Run a small mixed workload (network rendezvous + overlap compute, eager
 /// shared-memory traffic, a barrier) on `cfg` with tracing and PIOMan forced
-/// on, then write both sidecars. One call per bench binary gives every
-/// figure a Perfetto-loadable trace without touching its measured runs.
+/// on, then write both sidecars (a failed write names its path on stderr).
+/// One call per bench binary gives every figure a Perfetto-loadable trace
+/// without touching its measured runs.
 /// Returns the number of trace records captured.
 std::size_t run_traced_sidecar(mpi::ClusterConfig cfg, const std::string& stem);
 

@@ -22,7 +22,6 @@ std::string to_string(StackKind k) {
 Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   NMX_ASSERT(cfg_.nodes > 0 && cfg_.procs > 0);
   NMX_ASSERT(!cfg_.rails.empty());
-  cfg_.coll.apply_env();  // NMX_COLL_* overrides the programmatic selection
   if (cfg_.trace) {
     tracer_ = std::make_unique<sim::Tracer>();
     eng_.set_recorder(&tracer_->recorder());

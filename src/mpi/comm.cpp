@@ -5,24 +5,6 @@
 
 namespace nmx::mpi {
 
-void Comm::csend(const void* buf, std::size_t len, int dst, int tag) {
-  Request r = wrap(tx_.isend(global(dst), tag, ctx_base_ + kCollContext, buf, len));
-  wait(r);
-}
-
-Status Comm::crecv(void* buf, std::size_t cap, int src, int tag) {
-  Request r = wrap(tx_.irecv(global(src), tag, ctx_base_ + kCollContext, buf, cap));
-  return wait(r);
-}
-
-Status Comm::csendrecv(const void* sbuf, std::size_t slen, int dst, int stag, void* rbuf,
-                       std::size_t rcap, int src, int rtag) {
-  Request rr = wrap(tx_.irecv(global(src), rtag, ctx_base_ + kCollContext, rbuf, rcap));
-  Request sr = wrap(tx_.isend(global(dst), stag, ctx_base_ + kCollContext, sbuf, slen));
-  wait(sr);
-  return wait(rr);
-}
-
 Comm Comm::split(int color, int key) {
   // Gather every member's (color, key): an allgather keeps this collective
   // deterministic, then each rank derives its group locally.
@@ -104,91 +86,6 @@ int Comm::waitany(std::span<Request> reqs, Status* st) {
       auto& w = r.req_->waiters;
       w.erase(std::remove(w.begin(), w.end(), &actor_), w.end());
     }
-  }
-}
-
-void Comm::barrier() {
-  trace(obs::Cat::MpiColl, 0, 0);
-  if (obs::Recorder* r = rec()) r->metrics().counter("mpi.coll.count").add(1);
-  coll::Engine::barrier(*this, coll_);
-}
-
-void Comm::bcast(void* buf, std::size_t len, int root) {
-  coll::Engine::bcast(*this, buf, len, root, coll_);
-}
-
-void Comm::gather(const void* sendbuf, std::size_t block, void* recvbuf, int root) {
-  constexpr int kTag = 4000;
-  if (rank_ == root) {
-    auto* out = static_cast<std::byte*>(recvbuf);
-    std::memcpy(out + static_cast<std::size_t>(rank_) * block, sendbuf, block);
-    std::vector<Request> reqs;
-    reqs.reserve(static_cast<std::size_t>(size_ - 1));
-    for (int p = 0; p < size_; ++p) {
-      if (p == root) continue;
-      reqs.push_back(wrap(tx_.irecv(global(p), kTag, ctx_base_ + kCollContext,
-                                    out + static_cast<std::size_t>(p) * block, block)));
-    }
-    waitall(reqs);
-  } else {
-    csend(sendbuf, block, root, kTag);
-  }
-}
-
-void Comm::scatter(const void* sendbuf, std::size_t block, void* recvbuf, int root) {
-  constexpr int kTag = 5000;
-  if (rank_ == root) {
-    const auto* in = static_cast<const std::byte*>(sendbuf);
-    std::vector<Request> reqs;
-    reqs.reserve(static_cast<std::size_t>(size_ - 1));
-    for (int p = 0; p < size_; ++p) {
-      if (p == root) continue;
-      reqs.push_back(wrap(tx_.isend(global(p), kTag, ctx_base_ + kCollContext,
-                                    in + static_cast<std::size_t>(p) * block, block)));
-    }
-    std::memcpy(recvbuf, in + static_cast<std::size_t>(rank_) * block, block);
-    waitall(reqs);
-  } else {
-    crecv(recvbuf, block, root, kTag);
-  }
-}
-
-void Comm::allgather(const void* sendbuf, std::size_t block, void* recvbuf) {
-  // Ring: P-1 steps, each forwarding the block received in the previous one.
-  // Tags wrap modulo 16 (same scheme as alltoallv): the blocking per-step
-  // exchange keeps each (pair, tag) stream FIFO, while a distinct tag per
-  // step would leave O(P) per-(peer, tag) matching entries alive at every
-  // rank — hundreds of MB of dead matching state at 512 ranks.
-  constexpr int kTag = 6000;
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::memcpy(out + static_cast<std::size_t>(rank_) * block, sendbuf, block);
-  const int right = (rank_ + 1) % size_;
-  const int left = (rank_ - 1 + size_) % size_;
-  int cur = rank_;
-  for (int step = 0; step < size_ - 1; ++step) {
-    const int incoming = (cur - 1 + size_) % size_;
-    csendrecv(out + static_cast<std::size_t>(cur) * block, block, right, kTag + (step & 15),
-              out + static_cast<std::size_t>(incoming) * block, block, left, kTag + (step & 15));
-    cur = incoming;
-  }
-}
-
-void Comm::alltoall(const void* sendbuf, std::size_t block, void* recvbuf) {
-  coll::Engine::alltoall(*this, sendbuf, block, recvbuf, coll_);
-}
-
-void Comm::alltoallv(const void* sendbuf, const std::size_t* sendcounts,
-                     const std::size_t* senddispls, void* recvbuf,
-                     const std::size_t* recvcounts, const std::size_t* recvdispls) {
-  constexpr int kTag = 7500;
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-  std::memcpy(out + recvdispls[rank_], in + senddispls[rank_], sendcounts[rank_]);
-  for (int k = 1; k < size_; ++k) {
-    const int dst = (rank_ + k) % size_;
-    const int src = (rank_ - k + size_) % size_;
-    csendrecv(in + senddispls[dst], sendcounts[dst], dst, kTag + (k & 15),
-              out + recvdispls[src], recvcounts[src], src, kTag + (k & 15));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "coll/coll.hpp"
@@ -82,16 +83,7 @@ class Comm {
 
   Status wait(Request& r) {
     NMX_ASSERT_MSG(r.valid(), "wait on an inactive request");
-    // Capture the waited request's span before completion zeroes it: the
-    // MpiWait End arg names what the wait was blocked on (critpath edge).
-    const obs::SpanId waited = r.req_->span;
-    const obs::SpanId sp = span_begin(obs::Cat::MpiWait);
-    tx_.wait(actor_, r.req_);
-    span_end(obs::Cat::MpiWait, sp, 0, static_cast<std::int64_t>(waited));
-    const Status st = localized(r.req_->status);
-    tx_.release(r.req_);
-    r.req_ = nullptr;
-    return st;
+    return localized(wait_release(std::exchange(r.req_, nullptr)));
   }
 
   /// Block until one of `reqs` completes; returns its index and frees it
@@ -190,46 +182,70 @@ class Comm {
   }
 
   // --- collectives ----------------------------------------------------------
-  // Implemented by the coll::Engine (src/coll): per-op algorithms are
-  // selected by the coll::Config knob (ClusterConfig::coll + NMX_COLL_* env),
-  // and every host-tree edge routes through the transport — rail choice and
-  // rendezvous chunking stay with the NewMadeleine cost model.
+  // One implementation, coll::Engine (src/coll): barrier, bcast, allreduce
+  // and alltoall run the algorithm ClusterConfig::coll selects; the other
+  // ops have one algorithm each. Every edge is a transport send on this
+  // communicator's collective context, so rail choice and rendezvous
+  // chunking stay with the NewMadeleine cost model.
 
   /// Install the collective algorithm configuration (Cluster does this from
   /// ClusterConfig::coll; split children inherit it).
   void set_coll_config(const coll::Config& cfg) { coll_ = cfg; }
-  const coll::Config& coll_config() const { return coll_; }
 
-  void barrier();
-  void bcast(void* buf, std::size_t len, int root);
+  void barrier() {
+    trace(obs::Cat::MpiColl, 0, 0);
+    if (obs::Recorder* r = rec()) r->metrics().counter("mpi.coll.count").add(1);
+    coll::Engine::barrier(*this);
+  }
+  void bcast(void* buf, std::size_t len, int root) { coll::Engine::bcast(*this, buf, len, root); }
   /// `block` bytes contributed per rank; recvbuf holds size()*block at root.
-  void gather(const void* sendbuf, std::size_t block, void* recvbuf, int root);
-  void scatter(const void* sendbuf, std::size_t block, void* recvbuf, int root);
-  void allgather(const void* sendbuf, std::size_t block, void* recvbuf);
-  void alltoall(const void* sendbuf, std::size_t block, void* recvbuf);
+  void gather(const void* sendbuf, std::size_t block, void* recvbuf, int root) {
+    coll::Engine::gather(*this, sendbuf, block, recvbuf, root);
+  }
+  void scatter(const void* sendbuf, std::size_t block, void* recvbuf, int root) {
+    coll::Engine::scatter(*this, sendbuf, block, recvbuf, root);
+  }
+  void allgather(const void* sendbuf, std::size_t block, void* recvbuf) {
+    coll::Engine::allgather(*this, sendbuf, block, recvbuf);
+  }
+  void alltoall(const void* sendbuf, std::size_t block, void* recvbuf) {
+    coll::Engine::alltoall(*this, sendbuf, block, recvbuf);
+  }
   /// Variable-size all-to-all (MPI_Alltoallv, byte counts/displacements) —
   /// what the IS kernel needs.
   void alltoallv(const void* sendbuf, const std::size_t* sendcounts,
                  const std::size_t* senddispls, void* recvbuf, const std::size_t* recvcounts,
-                 const std::size_t* recvdispls);
+                 const std::size_t* recvdispls) {
+    coll::Engine::alltoallv(*this, sendbuf, sendcounts, senddispls, recvbuf, recvcounts,
+                            recvdispls);
+  }
   /// Inclusive prefix reduction (MPI_Scan).
   template <class T>
-  void scan(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op);
+  void scan(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
+    if (recvbuf != sendbuf) std::memcpy(recvbuf, sendbuf, count * sizeof(T));
+    coll::Engine::scan(*this, recvbuf, sizeof(T), count, fold<T>(op));
+  }
   /// Reduce + scatter of equal blocks (MPI_Reduce_scatter_block).
   template <class T>
-  void reduce_scatter_block(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op);
-
+  void reduce_scatter_block(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
+    std::vector<T> full(count * static_cast<std::size_t>(size_));
+    reduce(sendbuf, full.data(), full.size(), op, 0);
+    scatter(full.data(), count * sizeof(T), recvbuf, 0);
+  }
+  /// `recvbuf` (significant at `root` only; may be null) gets the result.
   template <class T>
-  void reduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op, int root);
-  /// Binomial reduce + binomial broadcast (bandwidth-friendly; the default).
+  void reduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op, int root) {
+    std::vector<T> acc(sendbuf, sendbuf + count);
+    coll::Engine::reduce(*this, acc.data(), sizeof(T), count, fold<T>(op), root);
+    if (rank_ == root && recvbuf != nullptr) std::memcpy(recvbuf, acc.data(), count * sizeof(T));
+  }
+  /// One scalar double is NIC-offloadable under Algo::NicOffload.
   template <class T>
-  void allreduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op);
-  /// Recursive-doubling allreduce: log2(P) rounds of pairwise exchange —
-  /// half the latency of reduce+bcast for small payloads, at the cost of
-  /// sending the full vector every round. Non-power-of-two counts fold the
-  /// excess ranks in and out (the MPICH algorithm). See bench/abl_allreduce.
-  template <class T>
-  void allreduce_rd(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op);
+  void allreduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
+    if (recvbuf != sendbuf) std::memcpy(recvbuf, sendbuf, count * sizeof(T));
+    const int nic_op = std::is_same_v<T, double> && count == 1 ? static_cast<int>(op) : -1;
+    coll::Engine::allreduce(*this, recvbuf, sizeof(T), count, fold<T>(op), nic_op);
+  }
   template <class T>
   T allreduce_one(T value, ReduceOp op) {
     T out{};
@@ -316,27 +332,29 @@ class Comm {
     }
     return st;
   }
-  // collective-internal pt2pt on the collective context
-  void csend(const void* buf, std::size_t len, int dst, int tag);
-  Status crecv(void* buf, std::size_t cap, int src, int tag);
-  Status csendrecv(const void* sbuf, std::size_t slen, int dst, int stag, void* rbuf,
-                   std::size_t rcap, int src, int rtag);
+  /// Block on `r` inside an MpiWait span, then free it. The span's End arg
+  /// names the request span the wait resolved on (a critical-path edge), so
+  /// it is captured before completion zeroes it. Returns the world-rank
+  /// status. Comm::wait and the coll::Engine plumbing both wait here.
+  Status wait_release(TxRequest* r) {
+    const obs::SpanId waited = r->span;
+    const obs::SpanId sp = span_begin(obs::Cat::MpiWait);
+    tx_.wait(actor_, r);
+    span_end(obs::Cat::MpiWait, sp, 0, static_cast<std::int64_t>(waited));
+    const Status st = r->status;
+    tx_.release(r);
+    return st;
+  }
 
+  /// The byte-erased element-wise fold the coll engine runs for `op` on T.
+  template <class T>
+  static coll::ReduceFn fold(ReduceOp op) {
+    return [op](void* inout, const void* in, std::size_t n) {
+      apply(op, static_cast<T*>(inout), static_cast<const T*>(in), n);
+    };
+  }
   template <class T>
   static void apply(ReduceOp op, T* inout, const T* in, std::size_t n);
-
-  /// Shared tail of allreduce/allreduce_rd: hand the byte-erased in-place
-  /// vector to the coll engine. One scalar double is NIC-offloadable.
-  template <class T>
-  void allreduce_inplace(T* data, std::size_t count, ReduceOp op, const coll::Config& cfg) {
-    const int nic_op = std::is_same_v<T, double> && count == 1 ? static_cast<int>(op) : -1;
-    coll::Engine::allreduce(
-        *this, data, sizeof(T), count,
-        [op](void* inout, const void* in, std::size_t n) {
-          apply(op, static_cast<T*>(inout), static_cast<const T*>(in), n);
-        },
-        nic_op, cfg);
-  }
 
   sim::Actor& actor_;
   Transport& tx_;
@@ -354,7 +372,7 @@ class Comm {
 };
 
 // ---------------------------------------------------------------------------
-// templated collectives
+// element-wise reduction
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -373,68 +391,6 @@ void Comm::apply(ReduceOp op, T* inout, const T* in, std::size_t n) {
       for (std::size_t i = 0; i < n; ++i) inout[i] = in[i] > inout[i] ? in[i] : inout[i];
       break;
   }
-}
-
-template <class T>
-void Comm::reduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op, int root) {
-  // Binomial-tree reduce on the rank space rotated so `root` maps to 0.
-  constexpr int kTag = 3000;
-  const int vr = (rank_ - root + size_) % size_;
-  std::vector<T> acc(sendbuf, sendbuf + count);
-  std::vector<T> tmp(count);
-
-  int lowbit = vr == 0 ? 1 : (vr & -vr);
-  if (vr == 0) {
-    while (lowbit < size_) lowbit <<= 1;
-  }
-  for (int m = 1; m < lowbit && vr + m < size_; m <<= 1) {
-    const int child = (vr + m + root) % size_;
-    crecv(tmp.data(), count * sizeof(T), child, kTag);
-    apply(op, acc.data(), tmp.data(), count);
-  }
-  if (vr != 0) {
-    const int parent = (vr - lowbit + root) % size_;
-    csend(acc.data(), count * sizeof(T), parent, kTag);
-  } else if (recvbuf != nullptr) {
-    std::memcpy(recvbuf, acc.data(), count * sizeof(T));
-  }
-}
-
-template <class T>
-void Comm::allreduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
-  if (recvbuf != sendbuf) std::memcpy(recvbuf, sendbuf, count * sizeof(T));
-  allreduce_inplace(recvbuf, count, op, coll_);
-}
-
-template <class T>
-void Comm::allreduce_rd(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
-  if (recvbuf != sendbuf) std::memcpy(recvbuf, sendbuf, count * sizeof(T));
-  coll::Config cfg = coll_;
-  cfg.allreduce = coll::Algo::RecDoubling;
-  allreduce_inplace(recvbuf, count, op, cfg);
-}
-
-template <class T>
-void Comm::scan(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
-  // Linear pipeline: receive the prefix from rank-1, fold in our values,
-  // forward to rank+1.
-  constexpr int kTag = 8000;
-  std::vector<T> acc(sendbuf, sendbuf + count);
-  if (rank_ > 0) {
-    std::vector<T> prefix(count);
-    crecv(prefix.data(), count * sizeof(T), rank_ - 1, kTag);
-    apply(op, acc.data(), prefix.data(), count);
-  }
-  if (rank_ + 1 < size_) csend(acc.data(), count * sizeof(T), rank_ + 1, kTag);
-  std::memcpy(recvbuf, acc.data(), count * sizeof(T));
-}
-
-template <class T>
-void Comm::reduce_scatter_block(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
-  // Reduce the full vector to rank 0, then scatter the blocks.
-  std::vector<T> full(count * static_cast<std::size_t>(size_));
-  reduce(sendbuf, full.data(), count * static_cast<std::size_t>(size_), op, 0);
-  scatter(full.data(), count * sizeof(T), recvbuf, 0);
 }
 
 }  // namespace nmx::mpi

@@ -53,12 +53,24 @@ enum class Cat : std::uint8_t {
   WireLand,     ///< last byte of a wire entry landed: link record, span =
                 ///< sender's MsgSend span, arg = fabric rail index
   Coll,         ///< one collective phase on one rank (span; arg packs the
-                ///< coll layer's op in bits 8+ and algorithm in bits 0..7)
+                ///< CollOp in bits 8+ and the coll::Algo in bits 0..7)
 };
 
 /// Number of enumerators in Cat — bound for per-category tables/bitmasks.
 inline constexpr std::size_t kNumCats = static_cast<std::size_t>(Cat::Coll) + 1;
 static_assert(kNumCats <= 32, "Cat enable mask is a uint32_t bitmask");
+
+/// The collective ops a Cat::Coll span names. The coll layer emits them and
+/// the critical-path report tiles by them; ids are part of the trace format,
+/// so new ops append.
+enum class CollOp : std::uint8_t {
+  Barrier, Bcast, Allreduce, Alltoall, Reduce, Gather, Scatter, Allgather, Alltoallv, Scan,
+};
+inline constexpr std::size_t kNumCollOps = static_cast<std::size_t>(CollOp::Scan) + 1;
+inline constexpr const char* kCollOpNames[kNumCollOps] = {
+    "barrier", "bcast",   "allreduce", "alltoall",  "reduce",
+    "gather",  "scatter", "allgather", "alltoallv", "scan",
+};
 
 const char* to_string(Cat cat);
 

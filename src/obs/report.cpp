@@ -7,6 +7,8 @@
 #include <map>
 #include <ostream>
 
+#include "common/assert.hpp"
+
 namespace nmx::obs {
 
 namespace {
@@ -88,20 +90,19 @@ void write_tolerance(const ToleranceReport& tr, std::ostream& os) {
 
 /// Tile the extracted critical path by collective phase: for every path
 /// segment, the time overlapping a Cat::Coll span on the segment's rank is
-/// attributed to that span's op (the Coll arg packs op in bits 8+).
+/// attributed to that span's op (the Coll arg packs the CollOp in bits 8+).
 std::vector<CollPhase> tile_coll_phases(const SpanIndex& idx, const CritPathResult& cp) {
-  constexpr std::array<const char*, 4> kOp = {"barrier", "bcast", "allreduce", "alltoall"};
   struct Iv {
     Time t0, t1;
     int op;
   };
   std::map<int, std::vector<Iv>> by_rank;
-  std::array<std::uint64_t, 4> span_count{};
+  std::array<std::uint64_t, kNumCollOps> span_count{};
   // nmx-lint: allow(determinism) intervals are sorted and counts summed; visitation order cannot leak
   for (const auto& [id, s] : idx.spans) {
     if (s.cat != Cat::Coll || !s.closed) continue;
     const int op = static_cast<int>(s.arg_begin >> 8);
-    if (op < 0 || op >= static_cast<int>(kOp.size())) continue;
+    NMX_ASSERT_MSG(op >= 0 && op < static_cast<int>(kNumCollOps), "Coll span with unknown op");
     by_rank[s.rank].push_back(Iv{s.t0, s.t1, op});
     ++span_count[static_cast<std::size_t>(op)];
   }
@@ -111,7 +112,7 @@ std::vector<CollPhase> tile_coll_phases(const SpanIndex& idx, const CritPathResu
               [](const Iv& a, const Iv& b) { return a.t0 < b.t0; });
   }
 
-  std::array<double, 4> crit{};
+  std::array<double, kNumCollOps> crit{};
   for (const IterPath& it : cp.iterations) {
     for (const PathSegment& seg : it.segments) {
       const auto r = by_rank.find(seg.rank);
@@ -125,9 +126,9 @@ std::vector<CollPhase> tile_coll_phases(const SpanIndex& idx, const CritPathResu
   }
 
   std::vector<CollPhase> out;
-  for (std::size_t op = 0; op < kOp.size(); ++op) {
+  for (std::size_t op = 0; op < kNumCollOps; ++op) {
     if (span_count[op] == 0) continue;
-    out.push_back(CollPhase{static_cast<int>(op), kOp[op], crit[op], span_count[op]});
+    out.push_back(CollPhase{static_cast<int>(op), kCollOpNames[op], crit[op], span_count[op]});
   }
   return out;
 }

@@ -18,7 +18,7 @@ namespace nmx::obs {
 /// Critical-path time spent inside one collective op's Cat::Coll spans:
 /// the tiling of the extracted path by collective phase.
 struct CollPhase {
-  int op = 0;            ///< 0 barrier, 1 bcast, 2 allreduce, 3 alltoall
+  int op = 0;            ///< obs::CollOp id
   std::string name;      ///< op name ("alltoall", ...)
   double crit_time = 0;  ///< critical-path seconds covered by this op
   std::uint64_t spans = 0;  ///< closed Coll spans of this op in the trace

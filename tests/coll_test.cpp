@@ -1,7 +1,9 @@
-// Collective-engine conformance: every algorithm x {barrier, bcast,
-// allreduce, alltoall} x a rank sweep (including non-powers-of-two) against
-// closed-form oracles; byte-identical same-seed determinism per algorithm;
-// and a chaos leg driving an allreduce through a timed rail death.
+// Collective-engine conformance: every algorithm x every collective (the
+// four with an algorithm choice plus reduce, gather, scatter, allgather,
+// alltoallv, scan and reduce_scatter_block) x a rank sweep (including
+// non-powers-of-two) against closed-form oracles; byte-identical same-seed
+// determinism per algorithm; and a chaos leg driving an allreduce through a
+// timed rail death.
 //
 // Algorithms that cannot serve a shape (NIC offload on a vector payload,
 // recursive-doubling alltoall on a non-power-of-two group) demote per the
@@ -9,6 +11,7 @@
 // ends up running, so the sweep exercises the demotion matrix too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -114,6 +117,104 @@ TEST_P(CollConformance, EveryOpMatchesItsOracle) {
       }
     }
 
+    // Reduce to a middle root: Max and Min of a per-rank vector.
+    std::vector<double> mx(kCount, -1.0), mn(kCount, -1.0);
+    c.reduce(mine.data(), mx.data(), kCount, mpi::ReduceOp::Max, root);
+    c.reduce(mine.data(), mn.data(), kCount, mpi::ReduceOp::Min, root);
+    if (r == root) {
+      for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_DOUBLE_EQ(mx[i], value(P - 1, i));
+        ASSERT_DOUBLE_EQ(mn[i], value(0, i));
+      }
+    }
+
+    // Gather to and scatter from the last rank.
+    const int last = P - 1;
+    std::vector<double> gathered(40 * static_cast<std::size_t>(P), -1.0);
+    c.gather(to.data(), kBlock, gathered.data(), last);
+    if (r == last) {
+      for (int p = 0; p < P; ++p) {
+        for (std::size_t i = 0; i < 40; ++i) {
+          ASSERT_DOUBLE_EQ(gathered[static_cast<std::size_t>(p) * 40 + i],
+                           p * 1e6 + static_cast<double>(i))
+              << "gathered block of " << p;
+        }
+      }
+    }
+    std::vector<double> piece(40, -1.0);
+    c.scatter(to.data(), kBlock, piece.data(), last);
+    for (std::size_t i = 0; i < 40; ++i) {
+      ASSERT_DOUBLE_EQ(piece[i], last * 1e6 + r * 1e3 + static_cast<double>(i));
+    }
+
+    // Allgather: rank p's block is its slice of `value`.
+    std::vector<double> all(40 * static_cast<std::size_t>(P), -1.0);
+    std::vector<double> own(40);
+    for (std::size_t i = 0; i < 40; ++i) own[i] = value(r, i);
+    c.allgather(own.data(), kBlock, all.data());
+    for (int p = 0; p < P; ++p) {
+      for (std::size_t i = 0; i < 40; ++i) {
+        ASSERT_DOUBLE_EQ(all[static_cast<std::size_t>(p) * 40 + i], value(p, i));
+      }
+    }
+
+    // Alltoallv: src sends (src + dst) % 3 doubles to dst, so one block in
+    // three is empty and the rest are uneven.
+    auto n = [](int src, int dst) { return static_cast<std::size_t>((src + dst) % 3); };
+    std::vector<std::size_t> scounts(P), sdispls(P), rcounts(P), rdispls(P);
+    std::size_t stotal = 0, rtotal = 0;
+    for (int p = 0; p < P; ++p) {
+      const auto q = static_cast<std::size_t>(p);
+      sdispls[q] = stotal * sizeof(double);
+      scounts[q] = n(r, p) * sizeof(double);
+      stotal += n(r, p);
+      rdispls[q] = rtotal * sizeof(double);
+      rcounts[q] = n(p, r) * sizeof(double);
+      rtotal += n(p, r);
+    }
+    std::vector<double> vsend(stotal), vrecv(rtotal, -1.0);
+    for (int p = 0; p < P; ++p) {
+      for (std::size_t i = 0; i < n(r, p); ++i) {
+        vsend[sdispls[static_cast<std::size_t>(p)] / sizeof(double) + i] =
+            r * 1e6 + p * 1e3 + static_cast<double>(i);
+      }
+    }
+    c.alltoallv(vsend.data(), scounts.data(), sdispls.data(), vrecv.data(), rcounts.data(),
+                rdispls.data());
+    for (int p = 0; p < P; ++p) {
+      for (std::size_t i = 0; i < n(p, r); ++i) {
+        ASSERT_DOUBLE_EQ(vrecv[rdispls[static_cast<std::size_t>(p)] / sizeof(double) + i],
+                         p * 1e6 + r * 1e3 + static_cast<double>(i))
+            << "alltoallv block from " << p << " at rank " << r;
+      }
+    }
+
+    // Scan: inclusive prefix sum of 1..P and prefix max of the ranks.
+    double prefix = 0;
+    c.scan(&own[0], &prefix, 1, mpi::ReduceOp::Sum);
+    double expect_prefix = 0;
+    for (int p = 0; p <= r; ++p) expect_prefix += value(p, 0);
+    EXPECT_DOUBLE_EQ(prefix, expect_prefix);
+    std::vector<int> ranks(3, r), prefix_max(3, -1);
+    c.scan(ranks.data(), prefix_max.data(), 3, mpi::ReduceOp::Max);
+    EXPECT_EQ(prefix_max, std::vector<int>(3, r));
+
+    // Reduce_scatter_block: block b of rank p's vector is p*P + b + i, so the
+    // sum over ranks of rank r's block has a closed form.
+    constexpr std::size_t kRsb = 7;
+    std::vector<double> rs_in(kRsb * static_cast<std::size_t>(P)), rs_out(kRsb, -1.0);
+    for (int b = 0; b < P; ++b) {
+      for (std::size_t i = 0; i < kRsb; ++i) {
+        rs_in[static_cast<std::size_t>(b) * kRsb + i] =
+            r * P + b + static_cast<double>(i);
+      }
+    }
+    c.reduce_scatter_block(rs_in.data(), rs_out.data(), kRsb, mpi::ReduceOp::Sum);
+    for (std::size_t i = 0; i < kRsb; ++i) {
+      const double sum_p = static_cast<double>(P) * (P - 1) / 2;
+      ASSERT_DOUBLE_EQ(rs_out[i], sum_p * P + P * (r + static_cast<double>(i)));
+    }
+
     c.barrier();
   });
 }
@@ -147,6 +248,20 @@ Artifacts run_traced(coll::Algo algo) {
     std::vector<double> from(static_cast<std::size_t>(c.size()) * 32);
     std::vector<double> to(from.size(), c.rank() * 1.5);
     c.alltoall(to.data(), 32 * sizeof(double), from.data());
+    c.allgather(to.data(), 32 * sizeof(double), from.data());
+    // Uneven alltoallv: rank r sends (r + p) % 3 blocks of 32 doubles to p.
+    const auto P = static_cast<std::size_t>(c.size());
+    const auto r = static_cast<std::size_t>(c.rank());
+    std::vector<std::size_t> sc(P), sd(P), rc(P), rd(P);
+    for (std::size_t p = 0; p < P; ++p) {
+      sc[p] = (r + p) % 3 * 32 * sizeof(double);
+      rc[p] = sc[p];
+      sd[p] = rd[p] = p * 2 * 32 * sizeof(double);
+    }
+    std::vector<double> vfrom(P * 2 * 32), vto(vfrom.size(), 0.5 + c.rank());
+    c.alltoallv(vto.data(), sc.data(), sd.data(), vfrom.data(), rc.data(), rd.data());
+    double prefix = 0;
+    c.scan(&v[0], &prefix, 1, mpi::ReduceOp::Sum);
     c.barrier();
   });
   obs::Recorder* rec = cluster.recorder();

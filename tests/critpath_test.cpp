@@ -2,9 +2,10 @@
 // latency-tolerance model (obs/lat_tolerance) on hand-built synthetic
 // traces where the true critical path is known: category breakdown,
 // landing tie-breaking, multi-rail overlap, unresolved-wait fallback, the
-// whole-trace window, and the model's baseline exactness + perturbation
-// response. End-to-end acceptance assertions on real NAS traces live in
-// report_test.cpp (ctest label "report").
+// whole-trace window, the model's baseline exactness + perturbation
+// response, and the collective-phase tiling by op name. End-to-end
+// acceptance assertions on real NAS traces live in report_test.cpp (ctest
+// label "report").
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "obs/critpath.hpp"
 #include "obs/lat_tolerance.hpp"
 #include "obs/recorder.hpp"
+#include "obs/report.hpp"
 
 namespace nmx {
 namespace {
@@ -180,6 +182,31 @@ TEST(CritPath, TraceWithoutIterSpansGetsWholeTraceWindow) {
   const obs::IterPath& p = cp.iterations[0];
   EXPECT_NEAR(p.wall(), 4.0, 1e-12);  // [1,5]
   expect_tiling(p);
+}
+
+TEST(CritPath, CollTilingNamesEveryOp) {
+  // One rank: compute [0,2], an alltoallv phase [2,8] blocked in a wait,
+  // compute [8,10]. The phase's 6 s of critical path are reported under the
+  // op's name from the shared obs::CollOp table.
+  obs::Recorder rec;
+  const obs::SpanId it = rec.begin(0.0, 0, Cat::Iter, 0, 0);
+  const obs::SpanId c0 = rec.begin(0.0, 0, Cat::Compute);
+  rec.end(2.0, 0, Cat::Compute, c0);
+  const obs::SpanId coll =
+      rec.begin(2.0, 0, Cat::Coll, 64, static_cast<std::int64_t>(obs::CollOp::Alltoallv) << 8);
+  const obs::SpanId w = rec.begin(2.0, 0, Cat::MpiWait);
+  rec.end(8.0, 0, Cat::MpiWait, w, 0, 0);
+  rec.end(8.0, 0, Cat::Coll, coll, 64);
+  const obs::SpanId c1 = rec.begin(8.0, 0, Cat::Compute);
+  rec.end(10.0, 0, Cat::Compute, c1);
+  rec.end(10.0, 0, Cat::Iter, it, 0, 0);
+
+  const obs::RunReport run = obs::analyze_run(rec, "synthetic", 1, {});
+  ASSERT_EQ(run.coll.size(), 1u);
+  EXPECT_EQ(run.coll[0].name, "alltoallv");
+  EXPECT_EQ(run.coll[0].op, static_cast<int>(obs::CollOp::Alltoallv));
+  EXPECT_NEAR(run.coll[0].crit_time, 6.0, 1e-9);
+  EXPECT_EQ(run.coll[0].spans, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 // Harness and end-to-end determinism tests: identical configurations must
 // produce bit-identical virtual timings (the reproducibility claim of
-// EXPERIMENTS.md rests on this), and the netpipe/overlap harnesses must
-// behave sanely across their sweep ranges.
+// EXPERIMENTS.md rests on this), the netpipe/overlap harnesses must
+// behave sanely across their sweep ranges, and a sidecar write failure
+// must be reported.
 #include <gtest/gtest.h>
 
 #include "harness/netpipe.hpp"
 #include "harness/overlap.hpp"
+#include "harness/sidecar.hpp"
 #include "harness/table.hpp"
 #include "mpi/cluster.hpp"
 #include "nas/nas.hpp"
@@ -88,6 +90,14 @@ TEST(Table, FormatsBytesAndNumbers) {
   t.add_row({"1", "2"});
   t.print(os);
   EXPECT_NE(os.str().find("bbbb"), std::string::npos);
+}
+
+TEST(Sidecar, WriteFailureIsReported) {
+  mpi::ClusterConfig cfg = ib2();
+  cfg.trace = true;
+  mpi::Cluster cluster(cfg);
+  cluster.run([](mpi::Comm& c) { c.barrier(); });
+  EXPECT_FALSE(harness::write_sidecars(cluster, "no_such_dir/sidecar"));
 }
 
 TEST(NmadRaw, StandaloneLatencyIs1p8us) {
