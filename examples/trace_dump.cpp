@@ -1,9 +1,8 @@
-// Tracing demo: run a small mixed workload (rendezvous over the network,
-// eager over shared memory, a collective, PIOMan in the background) with the
-// event tracer attached, then print the per-category summary and the head of
-// the trace — the simulator's stand-in for the PM2 suite's FxT traces.
-//
-// Also writes the two observability sidecars:
+// Tracing demo: run the sidecar workload (rendezvous over the network with
+// overlapped compute, eager over shared memory, a barrier, PIOMan in the
+// background) with an obs::Recorder attached, and write the two
+// observability sidecars — the simulator's stand-in for the PM2 suite's FxT
+// traces:
 //   trace_dump.trace.json — Chrome trace-event JSON; open it in Perfetto
 //                           (https://ui.perfetto.dev) or chrome://tracing to
 //                           see one track per rank (spans for MPI waits,
@@ -12,16 +11,13 @@
 //   trace_dump.metrics.csv — counters/gauges/histograms (per-rail bytes,
 //                           strategy queue depth, rendezvous handshake
 //                           latency, PIOMan passes, ...).
+// Exits nonzero when a sidecar cannot be written.
 //
 //   $ ./examples/trace_dump
 #include <cstdio>
-#include <iostream>
-#include <sstream>
 
+#include "harness/sidecar.hpp"
 #include "mpi/cluster.hpp"
-#include "obs/export_chrome.hpp"
-#include "obs/export_csv.hpp"
-#include "sim/trace.hpp"
 
 int main() {
   using namespace nmx;
@@ -29,52 +25,10 @@ int main() {
   mpi::ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.procs = 4;
+  cfg.cyclic_mapping = true;  // rank pairs talk over the network, the barrier over shm
   cfg.stack = mpi::StackKind::Mpich2Nmad;
-  cfg.pioman = true;
-  cfg.trace = true;
-  mpi::Cluster cluster(cfg);
-
-  cluster.run([](mpi::Comm& c) {
-    std::vector<std::byte> big(512 * 1024), small(2 * 1024);
-    if (c.rank() == 0) {
-      mpi::Request r = c.isend(big.data(), big.size(), 2, 1);  // network rendezvous
-      c.compute(50e-6);                                        // PIOMan progresses it
-      c.wait(r);
-      c.send(small.data(), small.size(), 1, 2);  // shared-memory eager
-    } else if (c.rank() == 2) {
-      c.recv(big.data(), big.size(), 0, 1);
-    } else if (c.rank() == 1) {
-      c.recv(small.data(), small.size(), 0, 2);
-    }
-    c.barrier();
-  });
-
-  sim::Tracer& tr = *cluster.tracer();
-  std::printf("captured %zu events over %.1f us of virtual time\n\n", tr.size(),
-              cluster.now() * 1e6);
-
-  std::printf("%-10s %8s %12s\n", "category", "count", "bytes");
-  for (const auto& [cat, s] : tr.summary()) {
-    std::printf("%-10s %8llu %12llu\n", sim::to_string(cat),
-                static_cast<unsigned long long>(s.count),
-                static_cast<unsigned long long>(s.bytes));
-  }
-
-  std::printf("\nfirst 12 trace lines (t_us rank category bytes aux):\n");
-  std::ostringstream os;
-  tr.dump(os);
-  std::istringstream is(os.str());
-  std::string line;
-  for (int i = 0; i < 13 && std::getline(is, line); ++i) std::printf("  %s\n", line.c_str());
-
-  obs::Recorder& rec = tr.recorder();
-  obs::write_chrome_trace_file(rec, "trace_dump.trace.json");
-  obs::write_metrics_csv_file(rec, "trace_dump.metrics.csv");
-  std::printf("\nwrote trace_dump.trace.json (%zu chrome events) — open in "
-              "https://ui.perfetto.dev or chrome://tracing\n",
-              obs::chrome_event_count(rec));
-  std::printf("wrote trace_dump.metrics.csv (%zu counters, %zu gauges, %zu histograms)\n",
-              rec.metrics().counters().size(), rec.metrics().gauges().size(),
-              rec.metrics().histograms().size());
+  const std::size_t records = harness::run_traced_sidecar(cfg, "trace_dump");
+  if (records == 0) return 1;
+  std::printf("captured %zu trace records\n", records);
   return 0;
 }

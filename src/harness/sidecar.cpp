@@ -1,11 +1,11 @@
 #include "harness/sidecar.hpp"
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "obs/export_chrome.hpp"
-#include "obs/export_csv.hpp"
 
 namespace nmx::harness {
 
@@ -15,7 +15,9 @@ bool write_sidecars(mpi::Cluster& cluster, const std::string& stem) {
   const std::string trace = stem + ".trace.json";
   const std::string csv = stem + ".metrics.csv";
   const bool trace_ok = obs::write_chrome_trace_file(*rec, trace);
-  const bool csv_ok = obs::write_metrics_csv_file(*rec, csv);
+  std::ofstream csv_os(csv);
+  if (csv_os) rec->metrics().write_csv(csv_os);
+  const bool csv_ok = static_cast<bool>(csv_os);
   if (!trace_ok) std::fprintf(stderr, "sidecar: cannot write %s\n", trace.c_str());
   if (!csv_ok) std::fprintf(stderr, "sidecar: cannot write %s\n", csv.c_str());
   return trace_ok && csv_ok;
@@ -79,12 +81,10 @@ std::size_t run_traced_sidecar(mpi::ClusterConfig cfg, const std::string& stem) 
     c.barrier();
   });
 
-  const bool ok = write_sidecars(cluster, stem);
-  if (ok) {
-    std::printf("sidecars: %s.trace.json (open in https://ui.perfetto.dev), %s.metrics.csv\n",
-                stem.c_str(), stem.c_str());
-  }
-  return cluster.recorder() != nullptr ? cluster.recorder()->size() : 0;
+  if (!write_sidecars(cluster, stem)) return 0;
+  std::printf("sidecars: %s.trace.json (open in https://ui.perfetto.dev), %s.metrics.csv\n",
+              stem.c_str(), stem.c_str());
+  return cluster.recorder()->size();
 }
 
 }  // namespace nmx::harness

@@ -35,7 +35,7 @@ bool write_report_sidecar(const obs::Report& rep, const std::string& stem);
 /// on, then write both sidecars (a failed write names its path on stderr).
 /// One call per bench binary gives every figure a Perfetto-loadable trace
 /// without touching its measured runs.
-/// Returns the number of trace records captured.
+/// Returns the number of trace records captured, or 0 when a write failed.
 std::size_t run_traced_sidecar(mpi::ClusterConfig cfg, const std::string& stem);
 
 }  // namespace nmx::harness

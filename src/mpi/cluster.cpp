@@ -23,8 +23,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   NMX_ASSERT(cfg_.nodes > 0 && cfg_.procs > 0);
   NMX_ASSERT(!cfg_.rails.empty());
   if (cfg_.trace) {
-    tracer_ = std::make_unique<sim::Tracer>();
-    eng_.set_recorder(&tracer_->recorder());
+    recorder_ = std::make_unique<obs::Recorder>();
+    eng_.set_recorder(recorder_.get());
   }
   net::Topology topo = cfg_.cyclic_mapping
                            ? net::Topology::cyclic(cfg_.nodes, cfg_.procs, cfg_.rails)
@@ -92,7 +92,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         c.variant = cfg_.stack == StackKind::OpenMpiBtlIb  ? baseline::OmpiVariant::BtlIb
                     : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
                                                              : baseline::OmpiVariant::CmMx;
-        c.dilation = cfg_.ompi_dilation;
         baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
         transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, c));
         break;

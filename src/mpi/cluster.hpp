@@ -10,11 +10,11 @@
 
 #include "mpi/comm.hpp"
 #include "mpi/transport.hpp"
-#include "sim/trace.hpp"
 #include "nemesis/shm.hpp"
 #include "net/fabric.hpp"
 #include "net/router.hpp"
 #include "nmad/types.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 
@@ -63,9 +63,8 @@ struct ClusterConfig {
 
   // baseline knobs
   bool mvapich_rcache = true;
-  double ompi_dilation = 1.09;
 
-  /// Record a sim::Tracer event stream (Cluster::tracer()).
+  /// Attach an obs::Recorder to the run (Cluster::recorder()).
   bool trace = false;
 
   // Chaos / fault injection (Mpich2Nmad only)
@@ -104,10 +103,8 @@ class Cluster {
   const ClusterConfig& config() const { return cfg_; }
   /// Virtual time now (seconds).
   Time now() const { return eng_.now(); }
-  /// The attached tracer (null unless config().trace).
-  sim::Tracer* tracer() { return tracer_.get(); }
-  /// The underlying observability store (null unless config().trace).
-  obs::Recorder* recorder() { return tracer_ ? &tracer_->recorder() : nullptr; }
+  /// The observability store (null unless config().trace).
+  obs::Recorder* recorder() { return recorder_.get(); }
   /// The armed fault plan (null on healthy runs).
   sim::FaultPlan* fault_plan() { return fault_plan_.get(); }
 
@@ -119,7 +116,7 @@ class Cluster {
   std::vector<std::unique_ptr<nemesis::ShmNode>> shm_nodes_;   // per node (may be null)
   std::vector<std::unique_ptr<net::ProcRouter>> routers_;      // per node
   std::vector<std::unique_ptr<Transport>> transports_;         // per proc
-  std::unique_ptr<sim::Tracer> tracer_;
+  std::unique_ptr<obs::Recorder> recorder_;
   int runs_ = 0;
 };
 

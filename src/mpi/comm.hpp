@@ -17,8 +17,8 @@
 #include "mpi/datatype.hpp"
 #include "mpi/transport.hpp"
 #include "net/calibration.hpp"
+#include "obs/recorder.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx::mpi {
 

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/recorder.hpp"
+
 namespace nmx::nemesis {
 
 ShmNode::ShmNode(sim::Engine& eng, int num_local_procs, ShmConfig cfg)

@@ -22,7 +22,6 @@
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx::nemesis {
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/recorder.hpp"
 #include "sim/fault.hpp"
 
 namespace nmx::nmad {

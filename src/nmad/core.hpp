@@ -29,7 +29,6 @@
 #include "nmad/types.hpp"
 #include "nmad/wire.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx::nmad {
 

@@ -54,12 +54,6 @@ const Histogram* Registry::find_histogram(const std::string& name,
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 void Registry::write_csv(std::ostream& os) const {
   os << "kind,name,label,field,value\n";
   for (const auto& [key, c] : counters_) {

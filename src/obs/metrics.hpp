@@ -3,7 +3,7 @@
 // answer the aggregate questions the event stream is too fine-grained for —
 // per-rail byte totals, strategy queue depth, PIOMan pass counts, rendezvous
 // handshake latency — and export as a machine-readable CSV sidecar
-// (obs/export_csv.hpp) next to every figure bench's table.
+// (Registry::write_csv) next to every figure bench's table.
 //
 // Identity is (name, label): `nmad.rail.tx_bytes` with label `rail=0` and
 // `rail=1` are two counters. Lookup is by map, so callers on hot paths should
@@ -86,9 +86,6 @@ class Registry {
   const std::map<Key, Counter>& counters() const { return counters_; }
   const std::map<Key, Gauge>& gauges() const { return gauges_; }
   const std::map<Key, Histogram>& histograms() const { return histograms_; }
-
-  bool empty() const { return counters_.empty() && gauges_.empty() && histograms_.empty(); }
-  void clear();
 
   /// CSV dump, one row per scalar: `kind,name,label,field,value`. Counters
   /// emit `value`; gauges `last` and `max`; histograms `count`, `sum` and a

@@ -8,10 +8,9 @@
 // NIC occupied from submission to egress, a wait or compute block. begin()
 // allocates a process-global SpanId which upper layers thread down the stack
 // (MpidRequest::span -> nmad::Request::span -> Entry::span) so every record a
-// message touches can name the request that caused it. Exporters:
-//   * obs/export_chrome.hpp — Chrome trace-event JSON (open in Perfetto)
-//   * obs/export_csv.hpp    — metrics + raw-event CSV
-//   * sim/trace.hpp         — the legacy Paje-flavoured text view (shim)
+// message touches can name the request that caused it. The Chrome trace-event
+// exporter (obs/export_chrome.hpp) renders the stream for Perfetto, and
+// Registry::write_csv dumps the metrics.
 #pragma once
 
 #include <algorithm>
@@ -26,9 +25,8 @@
 
 namespace nmx::obs {
 
-/// Record categories. The first block is the legacy sim::TraceCat set (names
-/// and Paje dump strings preserved); the second block arrived with the span
-/// layer. sim::TraceCat aliases this enum.
+/// Record categories. Ids and to_string() names are part of the trace
+/// format, so new categories append.
 enum class Cat : std::uint8_t {
   MpiSend,      ///< MPI-level send posted
   MpiRecv,      ///< MPI-level receive posted
@@ -55,10 +53,6 @@ enum class Cat : std::uint8_t {
   Coll,         ///< one collective phase on one rank (span; arg packs the
                 ///< CollOp in bits 8+ and the coll::Algo in bits 0..7)
 };
-
-/// Number of enumerators in Cat — bound for per-category tables/bitmasks.
-inline constexpr std::size_t kNumCats = static_cast<std::size_t>(Cat::Coll) + 1;
-static_assert(kNumCats <= 32, "Cat enable mask is a uint32_t bitmask");
 
 /// The collective ops a Cat::Coll span names. The coll layer emits them and
 /// the critical-path report tiles by them; ids are part of the trace format,
@@ -102,7 +96,6 @@ struct CounterSample {
 class Recorder {
  public:
   void instant(Time t, int rank, Cat cat, std::size_t bytes = 0, std::int64_t arg = 0) {
-    if (!enabled(cat)) return;
     push_record(Record{t, rank, cat, Ph::Instant, 0, bytes, arg});
   }
 
@@ -111,14 +104,11 @@ class Recorder {
   /// sender's). Kept out of begin/end accounting — the span field is a
   /// cross-reference, not a lifetime edge.
   void link(Time t, int rank, Cat cat, SpanId span, std::size_t bytes = 0, std::int64_t arg = 0) {
-    if (!enabled(cat)) return;
     push_record(Record{t, rank, cat, Ph::Instant, span, bytes, arg});
   }
 
-  /// Open a span and return its id (always nonzero when recorded; 0 when the
-  /// category is disabled, which makes the matching end() a no-op).
+  /// Open a span and return its id (never 0).
   SpanId begin(Time t, int rank, Cat cat, std::size_t bytes = 0, std::int64_t arg = 0) {
-    if (!enabled(cat)) return 0;
     const SpanId id = next_span_++;
     push_record(Record{t, rank, cat, Ph::Begin, id, bytes, arg});
     ++begun_;
@@ -126,32 +116,12 @@ class Recorder {
   }
 
   /// Close span `id`. No-op when `id` is 0 (span opened with no recorder
-  /// attached or with the category disabled), so callers may invoke it
-  /// unconditionally.
+  /// attached), so callers may invoke it unconditionally.
   void end(Time t, int rank, Cat cat, SpanId id, std::size_t bytes = 0, std::int64_t arg = 0) {
-    if (id == 0 || !enabled(cat)) return;
+    if (id == 0) return;
     push_record(Record{t, rank, cat, Ph::End, id, bytes, arg});
     ++ended_;
   }
-
-  // --- per-category enable masks -------------------------------------------
-  // Hot benches can drop categories they never analyze; a disabled category
-  // costs one bit test in instant/begin/end/link. Disabling a category
-  // between a begin and its end truncates that span (the End is suppressed
-  // too), which the exporter's synthesized-close path then flags.
-
-  void set_enabled(Cat cat, bool on) {
-    const std::uint32_t bit = 1u << static_cast<unsigned>(cat);
-    if (on) {
-      mask_ |= bit;
-    } else {
-      mask_ &= ~bit;
-    }
-  }
-  bool enabled(Cat cat) const { return mask_ & (1u << static_cast<unsigned>(cat)); }
-  /// Raw bitmask, bit i = Cat(i) enabled. All-ones by default.
-  std::uint32_t enabled_mask() const { return mask_; }
-  void set_enabled_mask(std::uint32_t mask) { mask_ = mask; }
 
   /// Append a point to counter track `track` (created on first use).
   void sample(Time t, int rank, std::string track, double value) {
@@ -194,15 +164,6 @@ class Recorder {
   /// every recorded span is properly paired.
   std::vector<SpanId> unbalanced_spans() const;
 
-  void clear() {
-    records_.clear();
-    samples_.clear();
-    metrics_.clear();
-    begun_ = ended_ = 0;
-    rec_start_ = samp_start_ = 0;
-    dropped_records_ = dropped_samples_ = 0;
-  }
-
  private:
   void push_record(Record&& r) {
     if (cap_ == 0 || records_.size() < cap_) {
@@ -238,7 +199,6 @@ class Recorder {
   mutable std::size_t rec_start_ = 0;
   mutable std::size_t samp_start_ = 0;
   std::size_t cap_ = 0;  ///< 0: unbounded
-  std::uint32_t mask_ = ~0u;  ///< per-Cat enable bits; configuration, survives clear()
   std::uint64_t dropped_records_ = 0;
   std::uint64_t dropped_samples_ = 0;
   Registry metrics_;

@@ -1,5 +1,7 @@
 #include "pioman/pioman.hpp"
 
+#include "obs/recorder.hpp"
+
 namespace nmx::pioman {
 
 Manager::Manager(sim::Engine& eng, ManagerConfig cfg) : eng_(eng), cfg_(cfg) {}

@@ -22,7 +22,6 @@
 #include "net/calibration.hpp"
 #include "pioman/ltask.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx::pioman {
 

@@ -281,8 +281,7 @@ class Engine {
 
   /// Attach an observability recorder (obs/recorder.hpp). Null disables all
   /// instrumentation; the pointer is not owned and must outlive the
-  /// simulation. The legacy sim::Tracer wraps a Recorder — attach one via
-  /// `set_recorder(&tracer.recorder())`.
+  /// simulation. Cluster owns one when ClusterConfig::trace is set.
   void set_recorder(obs::Recorder* r) { recorder_ = r; }
   obs::Recorder* recorder() { return recorder_; }
   /// Actor currently holding the baton, or nullptr when an event callback

@@ -24,7 +24,7 @@
 #include "mpi/cluster.hpp"
 #include "nmad/wire.hpp"
 #include "obs/export_chrome.hpp"
-#include "obs/export_csv.hpp"
+#include "obs/recorder.hpp"
 
 namespace nmx {
 namespace {
@@ -116,7 +116,7 @@ Outcome run_scenario(const Scenario& s) {
   obs::Recorder* rec = cluster.recorder();
   EXPECT_NE(rec, nullptr);
   std::ostringstream metrics, trace;
-  obs::write_metrics_csv(*rec, metrics);
+  rec->metrics().write_csv(metrics);
   obs::write_chrome_trace(*rec, trace);
   o.metrics_csv = metrics.str();
   o.trace_json = trace.str();

@@ -20,7 +20,7 @@
 #include "coll/coll.hpp"
 #include "mpi/cluster.hpp"
 #include "obs/export_chrome.hpp"
-#include "obs/export_csv.hpp"
+#include "obs/recorder.hpp"
 
 namespace nmx {
 namespace {
@@ -267,7 +267,7 @@ Artifacts run_traced(coll::Algo algo) {
   obs::Recorder* rec = cluster.recorder();
   EXPECT_NE(rec, nullptr);
   std::ostringstream metrics, trace;
-  obs::write_metrics_csv(*rec, metrics);
+  rec->metrics().write_csv(metrics);
   obs::write_chrome_trace(*rec, trace);
   return {metrics.str(), trace.str()};
 }

@@ -12,7 +12,7 @@
 
 #include "mpi/cluster.hpp"
 #include "obs/export_chrome.hpp"
-#include "obs/export_csv.hpp"
+#include "obs/recorder.hpp"
 #include "sim/rng.hpp"
 
 namespace nmx {
@@ -47,7 +47,7 @@ Artifacts run_once(const mpi::ClusterConfig& cfg) {
   obs::Recorder* rec = cluster.recorder();
   EXPECT_NE(rec, nullptr);
   std::ostringstream metrics, trace;
-  obs::write_metrics_csv(*rec, metrics);
+  rec->metrics().write_csv(metrics);
   obs::write_chrome_trace(*rec, trace);
   a.metrics_csv = metrics.str();
   a.trace_json = trace.str();

@@ -98,6 +98,8 @@ TEST(Sidecar, WriteFailureIsReported) {
   mpi::Cluster cluster(cfg);
   cluster.run([](mpi::Comm& c) { c.barrier(); });
   EXPECT_FALSE(harness::write_sidecars(cluster, "no_such_dir/sidecar"));
+  // The traced-sidecar run reports the failed write as zero records.
+  EXPECT_EQ(harness::run_traced_sidecar(ib2(), "no_such_dir/sidecar"), 0u);
 }
 
 TEST(NmadRaw, StandaloneLatencyIs1p8us) {

@@ -1,11 +1,9 @@
 // Tests for the nmx::obs observability layer: metrics registry semantics,
 // span begin/end pairing in the Recorder, end-to-end span balance on a traced
-// cluster, the Chrome trace-event / CSV exporters, and equivalence between
-// the legacy sim::Tracer view and the Recorder stream backing it.
+// cluster, and the Chrome trace-event / metrics CSV exporters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,10 +11,8 @@
 
 #include "mpi/cluster.hpp"
 #include "obs/export_chrome.hpp"
-#include "obs/export_csv.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "sim/trace.hpp"
 
 namespace nmx {
 namespace {
@@ -234,17 +230,6 @@ TEST(RecorderRing, ShrinkingCapacityShedsOldestNow) {
   EXPECT_EQ(rec.dropped_records(), 4u);
 }
 
-TEST(RecorderRing, ClearResetsRingState) {
-  obs::Recorder rec;
-  rec.set_capacity(2);
-  for (int i = 0; i < 5; ++i) rec.instant(1e-6, 0, obs::Cat::PiomanPass);
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped_records(), 0u);
-  rec.instant(1e-6, 0, obs::Cat::PiomanPass, 0, 7);
-  EXPECT_EQ(rec.records()[0].arg, 7);  // ring restarts cleanly at slot 0
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end: traced cluster
 // ---------------------------------------------------------------------------
@@ -401,97 +386,15 @@ TEST(Exporters, SchedulerCounterTracksAppearInTheClusterTrace) {
   EXPECT_NE(json.find("\"name\":\"nmad.sched.backlog_bytes.rail=0\""), std::string::npos);
 }
 
-TEST(Exporters, EventsCsvHasOneRowPerRecord) {
-  mpi::Cluster& cluster = traced_cluster();
-  obs::Recorder& rec = *cluster.recorder();
-  std::ostringstream os;
-  obs::write_events_csv(rec, os);
-  const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("t_us,rank,category,phase,span,bytes,arg\n", 0), 0u);
-  EXPECT_EQ(count_occurrences(csv, "\n"), rec.size() + 1);  // header + one per record
-}
-
 TEST(Exporters, MetricsCsvCarriesTheHeadlineSeries) {
   mpi::Cluster& cluster = traced_cluster();
   std::ostringstream os;
-  obs::write_metrics_csv(*cluster.recorder(), os);
+  cluster.recorder()->metrics().write_csv(os);
   const std::string csv = os.str();
   EXPECT_NE(csv.find("counter,nmad.rail.tx_bytes,rail=0,"), std::string::npos);
   EXPECT_NE(csv.find("counter,pioman.passes,,"), std::string::npos);
   EXPECT_NE(csv.find("hist,nmad.rdv.handshake_us,,count,"), std::string::npos);
   EXPECT_NE(csv.find("counter,mpi.send.bytes,,"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy sim::Tracer shim
-// ---------------------------------------------------------------------------
-
-TEST(TracerShim, SummaryMatchesTheRecorderStream) {
-  mpi::Cluster& cluster = traced_cluster();
-  const sim::Tracer& tr = *cluster.tracer();
-  const obs::Recorder& rec = tr.recorder();
-
-  // The shim's per-category summary counts each span once (at its Begin), so
-  // it must agree with a direct scan of the records that skips Ends.
-  auto summary = tr.summary();
-  std::map<obs::Cat, std::uint64_t> expect_count;
-  std::map<obs::Cat, std::uint64_t> expect_bytes;
-  for (const obs::Record& r : rec.records()) {
-    if (r.ph == obs::Ph::End) continue;
-    ++expect_count[r.cat];
-    expect_bytes[r.cat] += r.bytes;
-  }
-  for (const auto& [cat, s] : summary) {
-    EXPECT_EQ(s.count, expect_count[cat]) << obs::to_string(cat);
-    EXPECT_EQ(s.bytes, expect_bytes[cat]) << obs::to_string(cat);
-  }
-  EXPECT_EQ(summary.size(), expect_count.size());
-
-  // events() is the same stream minus the Ends, still time-ordered.
-  const auto ev = tr.events();
-  EXPECT_EQ(ev.size(), rec.size() - rec.spans_ended());
-}
-
-// ---------------------------------------------------------------------------
-// Per-category enable masks
-// ---------------------------------------------------------------------------
-
-TEST(Recorder, CategoryEnableMaskSuppressesRecords) {
-  obs::Recorder rec;
-  EXPECT_TRUE(rec.enabled(obs::Cat::Compute));
-  rec.set_enabled(obs::Cat::Compute, false);
-  EXPECT_FALSE(rec.enabled(obs::Cat::Compute));
-
-  // A disabled category records nothing through any entry point, and the
-  // 0 span id from begin() makes the matching end() a no-op.
-  const obs::SpanId dead = rec.begin(1.0, 0, obs::Cat::Compute);
-  EXPECT_EQ(dead, 0u);
-  rec.end(2.0, 0, obs::Cat::Compute, dead);
-  rec.instant(1.0, 0, obs::Cat::Compute);
-  rec.link(1.0, 0, obs::Cat::Compute, 7);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.spans_begun(), 0u);
-
-  // Other categories are unaffected.
-  const obs::SpanId live = rec.begin(1.0, 0, obs::Cat::MpiWait);
-  EXPECT_NE(live, 0u);
-  rec.end(2.0, 0, obs::Cat::MpiWait, live);
-  EXPECT_EQ(rec.size(), 2u);
-
-  rec.set_enabled(obs::Cat::Compute, true);
-  EXPECT_NE(rec.begin(3.0, 0, obs::Cat::Compute), 0u);
-}
-
-TEST(Recorder, EnableMaskRoundTripsAndSurvivesClear) {
-  obs::Recorder rec;
-  const std::uint32_t all = rec.enabled_mask();
-  rec.set_enabled(obs::Cat::ShmCell, false);
-  EXPECT_EQ(rec.enabled_mask(),
-            all & ~(1u << static_cast<unsigned>(obs::Cat::ShmCell)));
-  rec.clear();  // mask is configuration, not data
-  EXPECT_FALSE(rec.enabled(obs::Cat::ShmCell));
-  rec.set_enabled_mask(all);
-  EXPECT_TRUE(rec.enabled(obs::Cat::ShmCell));
 }
 
 // ---------------------------------------------------------------------------

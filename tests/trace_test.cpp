@@ -1,32 +1,16 @@
-// Tests for the event tracer and the MPI_THREAD_MULTIPLE-style execution
+// Tests for the cluster's trace stream and the MPI_THREAD_MULTIPLE-style execution
 // mode (run_threads) — the simulator-side analogues of the PM2 suite's FxT
 // tracing and of §3.3.2's semaphore-based thread waiting.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <map>
 
 #include "mpi/cluster.hpp"
-#include "sim/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace nmx {
 namespace {
-
-TEST(Tracer, RecordsAndSummarizes) {
-  sim::Tracer tr;
-  tr.record(1e-6, 0, sim::TraceCat::MpiSend, 100, 1);
-  tr.record(2e-6, 1, sim::TraceCat::MpiRecv, 100, 0);
-  tr.record(3e-6, 0, sim::TraceCat::MpiSend, 50, 1);
-  auto s = tr.summary();
-  EXPECT_EQ(s[sim::TraceCat::MpiSend].count, 2u);
-  EXPECT_EQ(s[sim::TraceCat::MpiSend].bytes, 150u);
-  EXPECT_EQ(s[sim::TraceCat::MpiRecv].count, 1u);
-  std::ostringstream os;
-  tr.dump(os);
-  EXPECT_NE(os.str().find("MPI_SEND"), std::string::npos);
-  EXPECT_NE(os.str().find("1.000 0"), std::string::npos);
-  tr.clear();
-  EXPECT_EQ(tr.size(), 0u);
-}
 
 TEST(Tracer, ClusterTraceCapturesAllLayers) {
   mpi::ClusterConfig cfg;
@@ -49,20 +33,24 @@ TEST(Tracer, ClusterTraceCapturesAllLayers) {
     }
     c.barrier();
   });
-  ASSERT_NE(cluster.tracer(), nullptr);
-  auto s = cluster.tracer()->summary();
-  EXPECT_GT(s[sim::TraceCat::MpiSend].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::MpiWait].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::MpiColl].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::NmadTx].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::NmadRx].count, 0u);
-  EXPECT_EQ(s[sim::TraceCat::NmadRdv].count, 1u);  // exactly one big send
-  EXPECT_GT(s[sim::TraceCat::ShmCell].count, 0u);
-  EXPECT_GT(s[sim::TraceCat::PiomanPass].count, 0u);
-  EXPECT_EQ(s[sim::TraceCat::Compute].count, 1u);
-  // Events are time-ordered (each layer records at emission time).
-  const auto& ev = cluster.tracer()->events();
-  for (std::size_t i = 1; i < ev.size(); ++i) EXPECT_GE(ev[i].t, ev[i - 1].t);
+  ASSERT_NE(cluster.recorder(), nullptr);
+  // Count instants and span Begins per category (a span counts once).
+  const auto& recs = cluster.recorder()->records();
+  std::map<obs::Cat, std::uint64_t> n;
+  for (const obs::Record& r : recs) {
+    if (r.ph != obs::Ph::End) ++n[r.cat];
+  }
+  EXPECT_GT(n[obs::Cat::MpiSend], 0u);
+  EXPECT_GT(n[obs::Cat::MpiWait], 0u);
+  EXPECT_GT(n[obs::Cat::MpiColl], 0u);
+  EXPECT_GT(n[obs::Cat::NmadTx], 0u);
+  EXPECT_GT(n[obs::Cat::NmadRx], 0u);
+  EXPECT_EQ(n[obs::Cat::NmadRdv], 1u);  // exactly one big send
+  EXPECT_GT(n[obs::Cat::ShmCell], 0u);
+  EXPECT_GT(n[obs::Cat::PiomanPass], 0u);
+  EXPECT_EQ(n[obs::Cat::Compute], 1u);
+  // Records are time-ordered (each layer records at emission time).
+  for (std::size_t i = 1; i < recs.size(); ++i) EXPECT_GE(recs[i].t, recs[i - 1].t);
 }
 
 TEST(Tracer, DisabledByDefaultCostsNothing) {
@@ -70,7 +58,7 @@ TEST(Tracer, DisabledByDefaultCostsNothing) {
   cfg.nodes = 2;
   cfg.procs = 2;
   mpi::Cluster cluster(cfg);
-  EXPECT_EQ(cluster.tracer(), nullptr);
+  EXPECT_EQ(cluster.recorder(), nullptr);
   cluster.run([](mpi::Comm& c) {
     if (c.rank() == 0) c.send_value(1, 1, 0);
     if (c.rank() == 1) c.recv_value<int>(0, 0);
