@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -19,9 +20,13 @@
 namespace nmx::bench {
 
 /// Emit the figure's observability sidecar: a traced mixed workload on `cfg`,
-/// written as `<stem>.trace.json` (Perfetto) and `<stem>.metrics.csv`.
+/// written as `<stem>.trace.json` (Perfetto) and `<stem>.metrics.csv`. A
+/// failed write names the stem on stderr and exits the binary with status 1.
 inline void emit_default_sidecar(const std::string& stem, mpi::ClusterConfig cfg) {
-  harness::run_traced_sidecar(std::move(cfg), stem);
+  if (harness::run_traced_sidecar(std::move(cfg), stem) == 0) {
+    std::cerr << "sidecar: " << stem << " failed\n";
+    std::exit(1);
+  }
 }
 
 /// Register a google-benchmark entry reporting a netpipe point's latency and

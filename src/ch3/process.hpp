@@ -39,7 +39,7 @@ namespace nmx::ch3 {
 class Ch3Process final : public mpi::Transport {
  public:
   struct Config {
-    nmad::Core::ExtendedConfig nmad;
+    nmad::Config nmad;
     /// Enable PIOMan: background progression + its synchronization costs.
     bool pioman = false;
     /// CH3 -> NewMadeleine direct path (the paper's modification).

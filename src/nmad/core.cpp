@@ -33,7 +33,7 @@ constexpr Time kNicCollLoopback = 0.3e-6;
 }  // namespace
 
 Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
-           ExtendedConfig cfg)
+           Config cfg)
     : eng_(eng),
       fabric_(fabric),
       router_(router),
@@ -116,7 +116,7 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
   }());
 
   GateState& g = gate(dst);
-  const std::uint32_t seq = g.send_seq[tag]++;
+  const std::uint32_t seq = g.seq[tag].send++;
   obs::Recorder* rec = eng_.recorder();
   Entry e;
   e.dst_proc = dst;
@@ -180,26 +180,23 @@ Request* Core::irecv(int src, Tag tag, void* buf, std::size_t len, void* user_ct
   }());
 
   GateState& g = gate(src);
-  auto& unex = g.unexpected[tag];
-  if (!unex.empty()) {
-    Unexpected u = std::move(unex.front());
-    unex.pop_front();
-    --unexpected_total_;
-    if (obs::Recorder* rec = eng_.recorder()) {
-      rec->metrics().gauge("nmad.unexpected.depth").set(static_cast<double>(unexpected_total_));
-    }
-    if (!u.rdv) {
-      NMX_ASSERT_MSG(u.payload.size() <= req->len, "eager message overflows receive buffer");
-      if (!u.payload.empty()) std::memcpy(req->rbuf, u.payload.data(), u.payload.size());
-      req->received = u.payload.size();
-      req->peer_span = u.span;
-      complete(*req);
-    } else {
-      start_rdv_recv(src, req, u.rdv_id, u.len, u.span);
-    }
+  auto it = std::find_if(g.unexpected.begin(), g.unexpected.end(),
+                         [tag](const Unexpected& u) { return u.tag == tag; });
+  if (it == g.unexpected.end()) {
+    g.posted.push_back(req);
     return req;
   }
-  g.posted[tag].push_back(req);
+  Unexpected u = std::move(*it);
+  g.unexpected.erase(it);
+  --unexpected_total_;
+  if (obs::Recorder* rec = eng_.recorder()) {
+    rec->metrics().gauge("nmad.unexpected.depth").set(static_cast<double>(unexpected_total_));
+  }
+  if (u.rdv) {
+    start_rdv_recv(src, req, u.rdv_id, u.len, u.span);
+  } else {
+    land_eager(*req, u.payload, u.span);
+  }
   return req;
 }
 
@@ -216,33 +213,19 @@ void Core::release(Request* r) {
 
 std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) const {
   const Unexpected* best = nullptr;
-  ProbeInfo info;
-  auto consider = [&](int gsrc, Tag gtag, const std::deque<Unexpected>& q) {
-    if (q.empty() || !sel.matches(gtag)) return;
-    const Unexpected& u = q.front();
-    // Total order on candidates: earliest arrival, then lowest (src, tag).
-    // The explicit tie-break makes the selection independent of the hash-map
-    // visitation order below — two messages landing at the same instant used
-    // to be picked by whichever bucket came first.
-    const bool better =
-        best == nullptr || u.arrival < best->arrival ||
-        (u.arrival == best->arrival &&
-         (gsrc < info.src || (gsrc == info.src && gtag < info.tag)));
-    if (better) {
-      best = &u;
-      info.src = gsrc;
-      info.tag = gtag;
-      info.len = u.len;
-    }
-  };
-  // nmx-lint: allow(determinism) selection is tie-broken to a total order above; visitation order cannot leak
+  int best_src = -1;
+  // nmx-lint: allow(determinism) arrival stamps are unique per core, so the oldest match does not depend on visitation order
   for (const auto& [gsrc, g] : gates_) {
     if (src && *src != gsrc) continue;
-    // nmx-lint: allow(determinism) same total-order tie-break as the outer loop
-    for (const auto& [gtag, q] : g.unexpected) consider(gsrc, gtag, q);
+    auto it = std::find_if(g.unexpected.begin(), g.unexpected.end(),
+                           [&sel](const Unexpected& u) { return sel.matches(u.tag); });
+    if (it != g.unexpected.end() && (best == nullptr || it->arrival < best->arrival)) {
+      best = &*it;
+      best_src = gsrc;
+    }
   }
-  if (!best) return std::nullopt;
-  return info;
+  if (best == nullptr) return std::nullopt;
+  return ProbeInfo{best_src, best->tag, best->len};
 }
 
 // --------------------------------------------------------------------------
@@ -597,7 +580,9 @@ void Core::dispatch_entry(int src, int fabric_rail, Entry e) {
 
 void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
   GateState& g = gate(src);
-  std::uint32_t& expected = g.recv_seq[e.tag];
+  // Element references of an unordered_map survive rehashing, so `expected`
+  // stays valid while ingest() re-enters the core through the hooks.
+  std::uint32_t& expected = g.seq[e.tag].recv;
   if (e.seq != expected) {
     if (e.seq < expected) {
       // This matching slot was already consumed: a wire duplicate or a
@@ -619,52 +604,48 @@ void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
   ingest(src, e, fabric_rail);
   // Drain any stashed successors that are now in order.
   for (;;) {
-    auto it = g.out_of_order.find({e.tag, g.recv_seq[e.tag]});
+    auto it = g.out_of_order.find({e.tag, expected});
     if (it == g.out_of_order.end()) break;
     Entry next = std::move(it->second.entry);
     const int next_rail = it->second.fabric_rail;
     g.out_of_order.erase(it);
-    ++g.recv_seq[next.tag];
+    ++expected;
     ingest(src, next, next_rail);
   }
 }
 
 void Core::ingest(int src, Entry& e, int fabric_rail) {
-  if (e.kind == Entry::Kind::Eager) {
-    deliver_eager(src, e, fabric_rail);
-  } else {
-    handle_rts(src, e);
-  }
-}
-
-void Core::deliver_eager(int src, Entry& e, int fabric_rail) {
+  const bool rdv = e.kind == Entry::Kind::Rts;
   // Landing link for the critical-path analyzer: last byte of this eager
   // entry is on the receiver, on `fabric_rail`, named by the sender's span.
   if (obs::Recorder* rec = eng_.recorder()) {
-    if (e.span != 0) {
+    if (!rdv && e.span != 0) {
       rec->link(eng_.now(), my_proc_, obs::Cat::WireLand, e.span, e.bytes.size(), fabric_rail);
     }
   }
   GateState& g = gate(src);
-  auto& posted = g.posted[e.tag];
-  if (!posted.empty()) {
-    Request* req = posted.front();
-    posted.pop_front();
-    NMX_ASSERT_MSG(e.bytes.size() <= req->len, "eager message overflows receive buffer");
-    if (!e.bytes.empty()) std::memcpy(req->rbuf, e.bytes.data(), e.bytes.size());
-    req->received = e.bytes.size();
-    req->peer_span = e.span;
-    complete(*req);
+  auto it = std::find_if(g.posted.begin(), g.posted.end(),
+                         [&e](const Request* r) { return r->tag == e.tag; });
+  if (it != g.posted.end()) {
+    Request* req = *it;
+    g.posted.erase(it);
+    if (rdv) {
+      start_rdv_recv(src, req, e.rdv_id, e.rdv_total, e.span);
+    } else {
+      land_eager(*req, e.bytes, e.span);
+    }
     return;
   }
-  const std::size_t len = e.bytes.size();
   Unexpected u;
+  u.tag = e.tag;
   u.arrival = arrival_counter_++;
-  u.rdv = false;
-  u.len = len;
+  u.rdv = rdv;
+  u.len = rdv ? e.rdv_total : e.bytes.size();
+  u.rdv_id = e.rdv_id;
   u.span = e.span;
   u.payload = std::move(e.bytes);
-  g.unexpected[e.tag].push_back(std::move(u));
+  const std::size_t len = u.len;
+  g.unexpected.push_back(std::move(u));
   ++unexpected_total_;
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::Unexpected, len, src);
@@ -673,28 +654,12 @@ void Core::deliver_eager(int src, Entry& e, int fabric_rail) {
   if (on_unexpected_) on_unexpected_(ProbeInfo{src, e.tag, len});
 }
 
-void Core::handle_rts(int src, Entry& e) {
-  GateState& g = gate(src);
-  auto& posted = g.posted[e.tag];
-  if (!posted.empty()) {
-    Request* req = posted.front();
-    posted.pop_front();
-    start_rdv_recv(src, req, e.rdv_id, e.rdv_total, e.span);
-    return;
-  }
-  Unexpected u;
-  u.arrival = arrival_counter_++;
-  u.rdv = true;
-  u.len = e.rdv_total;
-  u.rdv_id = e.rdv_id;
-  u.span = e.span;
-  g.unexpected[e.tag].push_back(std::move(u));
-  ++unexpected_total_;
-  if (obs::Recorder* rec = eng_.recorder()) {
-    rec->instant(eng_.now(), my_proc_, obs::Cat::Unexpected, e.rdv_total, src);
-    rec->metrics().gauge("nmad.unexpected.depth").set(static_cast<double>(unexpected_total_));
-  }
-  if (on_unexpected_) on_unexpected_(ProbeInfo{src, e.tag, e.rdv_total});
+void Core::land_eager(Request& req, const std::vector<std::byte>& bytes, std::uint64_t span) {
+  NMX_ASSERT_MSG(bytes.size() <= req.len, "eager message overflows receive buffer");
+  if (!bytes.empty()) std::memcpy(req.rbuf, bytes.data(), bytes.size());
+  req.received = bytes.size();
+  req.peer_span = span;
+  complete(req);
 }
 
 void Core::handle_dup_rts(int src, Entry& e) {

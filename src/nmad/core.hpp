@@ -41,16 +41,10 @@ struct ProbeInfo {
 
 class Core {
  public:
-  struct ExtendedConfig : Config {
-    /// Ablation switch for bench/abl_splitratio.
-    bool adaptive_split = true;
-  };
-
-  Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
-       ExtendedConfig cfg);
+  Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc, Config cfg);
 
   int proc() const { return my_proc_; }
-  const ExtendedConfig& config() const { return cfg_; }
+  const Config& config() const { return cfg_; }
   const Sampling& sampling() const { return sampling_; }
   const Strategy& strategy() const { return *strategy_; }
 
@@ -130,7 +124,8 @@ class Core {
 
  private:
   struct Unexpected {
-    std::uint64_t arrival = 0;  ///< global arrival order (for wildcard probe)
+    Tag tag = 0;
+    std::uint64_t arrival = 0;  ///< per-core arrival stamp (for wildcard probe)
     bool rdv = false;
     std::size_t len = 0;
     std::uint64_t rdv_id = 0;
@@ -145,12 +140,20 @@ class Core {
     int fabric_rail = -1;
   };
 
+  /// Per-(peer, tag) matching sequence numbers: next to send, next expected.
+  struct Seq {
+    std::uint32_t send = 0;
+    std::uint32_t recv = 0;
+  };
+
+  /// All matching state toward one peer (the paper's gate). Matching takes
+  /// the first list entry with the same tag, which keeps per-(peer, tag)
+  /// FIFO order; the lists are short, and empty ones allocate nothing.
   struct GateState {
-    std::unordered_map<Tag, std::uint32_t> send_seq;
-    std::unordered_map<Tag, std::uint32_t> recv_seq;
+    std::unordered_map<Tag, Seq> seq;
     std::map<std::pair<Tag, std::uint32_t>, PendingIngest> out_of_order;
-    std::unordered_map<Tag, std::deque<Request*>> posted;
-    std::unordered_map<Tag, std::deque<Unexpected>> unexpected;
+    std::vector<Request*> posted;        ///< receives in post order
+    std::vector<Unexpected> unexpected;  ///< unmatched arrivals in arrival order
     /// Rendezvous bytes from this peer that landed per local rail — the
     /// observed arrival mix used to attribute granted-but-unlanded bytes to
     /// rails in the CTS load advertisement (empty until first chunk lands).
@@ -206,9 +209,11 @@ class Core {
   /// Deliver one wire entry to its protocol handler (post fault filtering).
   void dispatch_entry(int src, int fabric_rail, Entry e);
   void ingest_ordered(int src, Entry e, int fabric_rail);
+  /// Match an in-order Eager or Rts entry against the gate's posted
+  /// receives, or queue it as unexpected.
   void ingest(int src, Entry& e, int fabric_rail);
-  void deliver_eager(int src, Entry& e, int fabric_rail);
-  void handle_rts(int src, Entry& e);
+  /// Copy an eager payload into a matched receive and complete it.
+  void land_eager(Request& req, const std::vector<std::byte>& bytes, std::uint64_t span);
   /// An Rts whose matching slot was already consumed (wire duplicate or
   /// sender retransmission): re-grant when our CTS was the casualty.
   void handle_dup_rts(int src, Entry& e);
@@ -286,7 +291,7 @@ class Core {
   net::ProcRouter& router_;
   int my_proc_;
   int my_node_;
-  ExtendedConfig cfg_;
+  Config cfg_;
   Sampling sampling_;
   std::unique_ptr<Strategy> strategy_;
   std::vector<Driver> drivers_;

@@ -11,7 +11,9 @@ namespace nmx::nmad {
 namespace {
 
 /// Common machinery: per-(rail, destination) FIFOs with round-robin
-/// destination selection per rail, and per-rail queued-byte accounting.
+/// destination selection per rail, and per-rail queued-byte accounting. Only
+/// non-empty FIFOs are kept, so a (rail, destination) entry lives exactly as
+/// long as it has traffic queued.
 class QueuedStrategy : public Strategy {
  public:
   QueuedStrategy(const Sampling& sampling, StrategyOptions opts, bool aggregate)
@@ -31,26 +33,13 @@ class QueuedStrategy : public Strategy {
 
   std::optional<WireMsg> next(int rail, int src_proc) override {
     if (!rail_live(rail)) return std::nullopt;
-    // Round-robin across destinations that have traffic on this rail.
+    // Round-robin across destinations that have traffic on this rail: the
+    // first one at or after the cursor, wrapping to the rail's first.
     auto& cursor = rr_cursor_[rail];
-    auto begin = queues_.lower_bound({rail, cursor});
-    auto pick = queues_.end();
-    for (auto it = begin; it != queues_.end() && it->first.first == rail; ++it) {
-      if (!it->second.empty()) {
-        pick = it;
-        break;
-      }
-    }
-    if (pick == queues_.end()) {
-      for (auto it = queues_.lower_bound({rail, 0});
-           it != begin && it->first.first == rail; ++it) {
-        if (!it->second.empty()) {
-          pick = it;
-          break;
-        }
-      }
-    }
-    if (pick == queues_.end()) return std::nullopt;
+    auto on_rail = [&](auto it) { return it != queues_.end() && it->first.first == rail; };
+    auto pick = queues_.lower_bound({rail, cursor});
+    if (!on_rail(pick)) pick = queues_.lower_bound({rail, std::numeric_limits<int>::min()});
+    if (!on_rail(pick)) return std::nullopt;
 
     std::deque<Entry>& q = pick->second;
     auto& backlog = backlog_[static_cast<std::size_t>(rail)];
@@ -77,6 +66,7 @@ class QueuedStrategy : public Strategy {
                packed_bytes + q.front().bytes.size() <= opts_.max_aggregate);
     }
     cursor = pick->first.second + 1;  // resume after this destination
+    if (q.empty()) queues_.erase(pick);
     ++packets_built_;
     entries_sent_ += wm.entries.size();
     return wm;
@@ -90,8 +80,12 @@ class QueuedStrategy : public Strategy {
 
   std::size_t cancel_rdv(int dst, std::uint64_t rdv_id) override {
     std::size_t dropped = 0;
-    for (auto& [key, q] : queues_) {
-      if (key.second != dst) continue;
+    for (auto qit = queues_.begin(); qit != queues_.end();) {
+      auto& [key, q] = *qit;
+      if (key.second != dst) {
+        ++qit;
+        continue;
+      }
       auto& backlog = backlog_[static_cast<std::size_t>(key.first)];
       for (auto it = q.begin(); it != q.end();) {
         if (it->kind == Entry::Kind::RdvChunk && it->rdv_id == rdv_id) {
@@ -103,6 +97,7 @@ class QueuedStrategy : public Strategy {
           ++it;
         }
       }
+      qit = q.empty() ? queues_.erase(qit) : std::next(qit);
     }
     return dropped;
   }
@@ -144,26 +139,20 @@ class QueuedStrategy : public Strategy {
 
  private:
   bool aggregate_;
-  // (rail, dst) -> FIFO. Ordered map so round-robin iteration is stable.
+  // (rail, dst) -> non-empty FIFO. Ordered map so round-robin iteration is
+  // stable.
   std::map<std::pair<int, int>, std::deque<Entry>> queues_;
   std::map<int, int> rr_cursor_;
   std::size_t pending_ = 0;
   std::vector<std::size_t> backlog_;  ///< queued wire bytes per rail
 };
 
-class StratDefault final : public QueuedStrategy {
+/// Default and Aggreg: everything on the fastest live rail. They differ only
+/// in whether small entries to one destination share a wire message.
+class StratFastestRail final : public QueuedStrategy {
  public:
-  StratDefault(const Sampling& s, StrategyOptions o) : QueuedStrategy(s, o, /*aggregate=*/false) {}
-  std::vector<std::size_t> plan_rdv(std::size_t len) const override {
-    std::vector<std::size_t> shares(sampling_.num_rails(), 0);
-    shares[static_cast<std::size_t>(sampling_.fastest_live(live_))] = len;
-    return shares;
-  }
-};
-
-class StratAggreg final : public QueuedStrategy {
- public:
-  StratAggreg(const Sampling& s, StrategyOptions o) : QueuedStrategy(s, o, /*aggregate=*/true) {}
+  StratFastestRail(const Sampling& s, StrategyOptions o, bool aggregate)
+      : QueuedStrategy(s, o, aggregate) {}
   std::vector<std::size_t> plan_rdv(std::size_t len) const override {
     std::vector<std::size_t> shares(sampling_.num_rails(), 0);
     shares[static_cast<std::size_t>(sampling_.fastest_live(live_))] = len;
@@ -391,8 +380,10 @@ class StratCostModel final : public QueuedStrategy {
 std::unique_ptr<Strategy> make_strategy(StrategyKind kind, const Sampling& sampling,
                                         const StrategyOptions& opts) {
   switch (kind) {
-    case StrategyKind::Default: return std::make_unique<StratDefault>(sampling, opts);
-    case StrategyKind::Aggreg: return std::make_unique<StratAggreg>(sampling, opts);
+    case StrategyKind::Default:
+      return std::make_unique<StratFastestRail>(sampling, opts, /*aggregate=*/false);
+    case StrategyKind::Aggreg:
+      return std::make_unique<StratFastestRail>(sampling, opts, /*aggregate=*/true);
     case StrategyKind::SplitBalance: return std::make_unique<StratSplitBalance>(sampling, opts);
     case StrategyKind::CostModel: return std::make_unique<StratCostModel>(sampling, opts);
   }

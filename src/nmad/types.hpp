@@ -104,6 +104,8 @@ struct Config {
   std::size_t max_aggregate = calib::kNmadMaxAggregate;
   /// Minimum rendezvous chunk worth putting on an extra rail.
   std::size_t min_split_chunk = 16_KiB;
+  /// Ablation switch for bench/abl_splitratio: false = naive even split.
+  bool adaptive_split = true;
   /// CostModel: largest rendezvous chunk emitted per wire message, so the
   /// split is re-planned as rails drain (0 = emit each rail's full share).
   std::size_t rdv_quantum = 2_MiB;

@@ -332,7 +332,9 @@ TEST_P(RestartSweep, NoGrantIsOrphanedAtAnyRestartTime) {
 INSTANTIATE_TEST_SUITE_P(AcrossEgressCompletion, RestartSweep,
                          ::testing::Values(0.5e-3, 1.5e-3, 2.5e-3, 3.1e-3, 3.3e-3, 3.5e-3),
                          [](const auto& info) {
-                           return "t" + std::to_string(static_cast<int>(info.param * 1e4));
+                           std::string name = "t";
+                           name += std::to_string(static_cast<int>(info.param * 1e4));
+                           return name;
                          });
 
 // ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ TEST(NmadRaw, StandaloneLatencyIs1p8us) {
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile()});
   net::Fabric fabric(eng, topo);
   net::ProcRouter r0(fabric, 0), r1(fabric, 1);
-  nmad::Core::ExtendedConfig cfg;
+  nmad::Config cfg;
   nmad::Core a(eng, fabric, r0, 0, cfg);
   nmad::Core b(eng, fabric, r1, 1, cfg);
   a.enter_progress();

@@ -251,7 +251,7 @@ struct CoreFixture : ::testing::Test {
   net::Fabric fabric{eng, topo};
   net::ProcRouter router0{fabric, 0};
   net::ProcRouter router1{fabric, 1};
-  Core::ExtendedConfig cfg;
+  Config cfg;
 
   std::unique_ptr<Core> a;  // proc 0
   std::unique_ptr<Core> b;  // proc 1
@@ -358,7 +358,7 @@ TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
     net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
     net::Fabric fabric(eng, topo);
     net::ProcRouter r0(fabric, 0), r1(fabric, 1);
-    Core::ExtendedConfig cfg;
+    Config cfg;
     cfg.strategy = k;
     cfg.rails = {0, 1};
     Core a(eng, fabric, r0, 0, cfg);
@@ -407,6 +407,48 @@ TEST_F(CoreFixture, DifferentTagsMatchIndependently) {
   EXPECT_TRUE(r1->completed && r2->completed);
   EXPECT_EQ(d1, m1);
   EXPECT_EQ(d2, m2);
+
+  // Unexpected side: tags 10, 20, 10 queue in one gate before any receive;
+  // the tag-10 receives take the first and third messages, in order.
+  auto u1 = pattern(64, 21);
+  auto u2 = pattern(64, 22);
+  auto u3 = pattern(64, 23);
+  a->isend(1, 10, u1.data(), 64);
+  a->isend(1, 20, u2.data(), 64);
+  a->isend(1, 10, u3.data(), 64);
+  eng.run();
+  EXPECT_EQ(b->unexpected_count(), 3u);
+  std::vector<std::byte> e1(64), e3(64), e2(64);
+  Request* q1 = b->irecv(0, 10, e1.data(), 64);
+  Request* q3 = b->irecv(0, 10, e3.data(), 64);
+  EXPECT_TRUE(q1->completed && q3->completed);
+  EXPECT_EQ(e1, u1);
+  EXPECT_EQ(e3, u3);
+  Request* q2 = b->irecv(0, 20, e2.data(), 64);
+  EXPECT_TRUE(q2->completed);
+  EXPECT_EQ(e2, u2);
+  EXPECT_EQ(b->unexpected_count(), 0u);
+
+  // Posted side: receives on tags 20, 10, 20; a tag-20 send must skip the
+  // tag-10 receive, and the second tag-20 send fills the third receive.
+  auto p1 = pattern(64, 31);
+  auto p2 = pattern(64, 32);
+  auto p3 = pattern(64, 33);
+  std::vector<std::byte> f1(64), f2(64), f3(64);
+  Request* s1 = b->irecv(0, 20, f1.data(), 64);
+  Request* s2 = b->irecv(0, 10, f2.data(), 64);
+  Request* s3 = b->irecv(0, 20, f3.data(), 64);
+  a->isend(1, 20, p1.data(), 64);
+  a->isend(1, 20, p3.data(), 64);
+  eng.run();
+  EXPECT_TRUE(s1->completed && s3->completed);
+  EXPECT_FALSE(s2->completed);
+  EXPECT_EQ(f1, p1);
+  EXPECT_EQ(f3, p3);
+  a->isend(1, 10, p2.data(), 64);
+  eng.run();
+  EXPECT_TRUE(s2->completed);
+  EXPECT_EQ(f2, p2);
 }
 
 TEST_F(CoreFixture, ProbeSeesOldestUnexpected) {
@@ -423,6 +465,18 @@ TEST_F(CoreFixture, ProbeSeesOldestUnexpected) {
   EXPECT_TRUE(b->probe(std::nullopt, TagSelector::exact(77)).has_value());
   EXPECT_FALSE(b->probe(std::nullopt, TagSelector::exact(78)).has_value());
   EXPECT_FALSE(b->probe(5, TagSelector::any()).has_value());
+
+  // A selector that skips the head of the gate's list: tag 77 is oldest,
+  // exact(78) must still find the tag-78 message behind it.
+  auto m78 = pattern(96, 19);
+  a->isend(1, 78, m78.data(), m78.size());
+  eng.run();
+  auto p78 = b->probe(0, TagSelector::exact(78));
+  ASSERT_TRUE(p78.has_value());
+  EXPECT_EQ(p78->src, 0);
+  EXPECT_EQ(p78->tag, 78u);
+  EXPECT_EQ(p78->len, 96u);
+  EXPECT_EQ(b->probe(std::nullopt, TagSelector::any())->tag, 77u);
 }
 
 TEST_F(CoreFixture, OnUnexpectedHookFires) {
@@ -530,7 +584,7 @@ struct RdvHardeningFixture : ::testing::Test {
   net::ProcRouter router0{fabric, 0};
   net::ProcRouter router1{fabric, 1};
   net::ProcRouter router2{fabric, 2};
-  Core::ExtendedConfig cfg;
+  Config cfg;
   std::unique_ptr<Core> a;  // proc 0: rendezvous sender under attack
   std::unique_ptr<Core> b;  // proc 1: the legitimate destination
   std::unique_ptr<Core> c;  // proc 2: bystander
