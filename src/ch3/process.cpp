@@ -438,8 +438,8 @@ void Ch3Process::send_self(MpidRequest* req, const void* buf, std::size_t len) {
   msg.context = req->context;
   msg.len = len;
   msg.span = req->span;
-  msg.payload.resize(len);
-  if (len > 0) std::memcpy(msg.payload.data(), buf, len);
+  const auto* bytes = static_cast<const std::byte*>(buf);
+  msg.payload.assign(bytes, bytes + len);
   eng_.schedule_in_checked(kSelfLatency, [this, msg = std::move(msg)]() mutable {
     deliver_local(std::move(msg));
   });
@@ -454,13 +454,13 @@ void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
   hdr.context = req->context;
   hdr.len = len;
   hdr.span = req->span;
+  const auto* bytes = static_cast<const std::byte*>(buf);
   if (len <= cfg_.shm_rdv_threshold) {
     hdr.kind = ShmHdr::Kind::Eager;
     nemesis::Message m;
     m.src_local = local_index_;
     m.header = hdr;
-    m.payload.resize(len);
-    if (len > 0) std::memcpy(m.payload.data(), buf, len);
+    m.payload.assign(bytes, bytes + len);
     shm_->send(local_of(req->peer), std::move(m));
     complete_send(req);  // copied into cells — buffer reusable
   } else {
@@ -470,8 +470,7 @@ void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
     ShmRdvOut out;
     out.req = req;
     out.dst = req->peer;
-    out.payload.resize(len);
-    std::memcpy(out.payload.data(), buf, len);
+    out.payload.assign(bytes, bytes + len);
     shm_rdv_out_.emplace(hdr.rdv_id, std::move(out));
     nemesis::Message m;
     m.src_local = local_index_;

@@ -125,10 +125,8 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
   e.span = span;
   if (len <= cfg_.rdv_threshold) {
     e.kind = Entry::Kind::Eager;
-    if (len > 0) {
-      e.bytes.resize(len);
-      std::memcpy(e.bytes.data(), buf, len);
-    }
+    const auto* p = static_cast<const std::byte*>(buf);
+    e.bytes.assign(p, p + len);
     e.sreq = req;
     if (rec != nullptr) {
       rec->metrics().counter("nmad.eager.count").add(1);
@@ -323,7 +321,7 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
   std::vector<Note> notes;
   for (const Entry& e : wm.entries) {
     if (e.sreq != nullptr) {
-      notes.push_back(Note{e.sreq, e.kind, e.bytes.size(), e.epoch});
+      notes.push_back(Note{e.sreq, e.kind, e.payload_size(), e.epoch});
       ++e.sreq->inflight_notes;
     }
   }
@@ -878,7 +876,7 @@ void Core::start_rdv_data(Request* req, Entry& cts) {
     e.offset = 0;
     e.rail = -1;  // unplanned
     e.epoch = req->epoch;
-    e.bytes.assign(req->sbuf, req->sbuf + req->len);
+    e.chunk = {req->sbuf, req->len};
     e.sreq = req;
     e.span = req->span;
     if (cfg_.advertise_rdv_load) e.rail_ads = std::move(cts.rail_ads);
@@ -899,7 +897,7 @@ void Core::start_rdv_data(Request* req, Entry& cts) {
     e.offset = offset;
     e.rail = static_cast<int>(r);
     e.epoch = req->epoch;
-    e.bytes.assign(req->sbuf + offset, req->sbuf + offset + shares[r]);
+    e.chunk = {req->sbuf + offset, shares[r]};
     e.sreq = req;
     e.span = req->span;
     offset += shares[r];
@@ -931,13 +929,13 @@ void Core::handle_rdv_data(int src, int fabric_rail, Entry& e) {
   decay_rx_mix(g);
   const int lr = local_rail_of(fabric_rail);
   if (lr >= 0) {
-    g.rdv_rx_by_rail[static_cast<std::size_t>(lr)] += static_cast<double>(e.bytes.size());
+    g.rdv_rx_by_rail[static_cast<std::size_t>(lr)] += static_cast<double>(e.chunk.size());
   }
   if (obs::Recorder* rec = eng_.recorder()) {
-    rec->instant(eng_.now(), my_proc_, obs::Cat::RdvData, e.bytes.size(),
+    rec->instant(eng_.now(), my_proc_, obs::Cat::RdvData, e.chunk.size(),
                  static_cast<std::int64_t>(e.span));
     if (e.span != 0) {
-      rec->link(eng_.now(), my_proc_, obs::Cat::WireLand, e.span, e.bytes.size(), fabric_rail);
+      rec->link(eng_.now(), my_proc_, obs::Cat::WireLand, e.span, e.chunk.size(), fabric_rail);
     }
     // Close the two-ended prediction loop: the sender stamped its predicted
     // arrival on the chunk; the receiver measures the miss at landing.
@@ -948,10 +946,12 @@ void Core::handle_rdv_data(int src, int fabric_rail, Entry& e) {
           .observe(std::abs(eng_.now() - e.pred_arrival) * 1e6);
     }
   }
-  NMX_ASSERT(e.offset + e.bytes.size() <= req->len);
-  if (!e.bytes.empty()) std::memcpy(req->rbuf + e.offset, e.bytes.data(), e.bytes.size());
-  NMX_ASSERT(req->bytes_outstanding >= e.bytes.size());
-  req->bytes_outstanding -= e.bytes.size();
+  NMX_ASSERT(e.offset + e.chunk.size() <= req->len);
+  // The one host copy of a rendezvous byte: straight out of the sender's
+  // buffer (see Entry::chunk for why the view is still valid here).
+  if (!e.chunk.empty()) std::memcpy(req->rbuf + e.offset, e.chunk.data(), e.chunk.size());
+  NMX_ASSERT(req->bytes_outstanding >= e.chunk.size());
+  req->bytes_outstanding -= e.chunk.size();
   if (req->bytes_outstanding == 0) {
     // Completion ack before the grant state goes away: the sender's
     // retirement is gated on this fin, so a restart re-grant can never race
@@ -1041,7 +1041,7 @@ void Core::handle_rail_down(int fabric_rail, bool from_wire) {
   for (Entry& e : displaced) {
     rerouted_bytes += e.wire_bytes();
     if (e.kind == Entry::Kind::RdvChunk) {
-      const std::vector<std::size_t> shares = strategy_->plan_rdv(e.bytes.size());
+      const std::vector<std::size_t> shares = strategy_->plan_rdv(e.chunk.size());
       std::size_t off = 0;
       for (std::size_t r = 0; r < shares.size(); ++r) {
         if (shares[r] == 0) continue;
@@ -1054,12 +1054,11 @@ void Core::handle_rail_down(int fabric_rail, bool from_wire) {
         part.epoch = e.epoch;
         part.sreq = e.sreq;
         part.span = e.span;
-        part.bytes.assign(e.bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                          e.bytes.begin() + static_cast<std::ptrdiff_t>(off + shares[r]));
+        part.chunk = e.chunk.subspan(off, shares[r]);
         off += shares[r];
         enqueue(std::move(part));
       }
-      NMX_ASSERT(off == e.bytes.size());
+      NMX_ASSERT(off == e.chunk.size());
     } else {
       enqueue(std::move(e));
     }

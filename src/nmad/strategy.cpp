@@ -10,6 +10,14 @@ namespace nmx::nmad {
 
 namespace {
 
+/// Rendezvous data is a view of the sender's buffer (Entry::chunk). A chunk
+/// that still carries its payload in `bytes` comes from a copy path and would
+/// go out empty, so fail loudly instead.
+void assert_rdv_view(const Entry& e) {
+  NMX_ASSERT_MSG(e.kind != Entry::Kind::RdvChunk || e.bytes.empty(),
+                 "RdvChunk payload must be a view (Entry::chunk), not a copy");
+}
+
 /// Common machinery: per-(rail, destination) FIFOs with round-robin
 /// destination selection per rail, and per-rail queued-byte accounting. Only
 /// non-empty FIFOs are kept, so a (rail, destination) entry lives exactly as
@@ -24,6 +32,7 @@ class QueuedStrategy : public Strategy {
         backlog_(sampling.num_rails(), 0) {}
 
   void enqueue(Entry e) override {
+    assert_rdv_view(e);
     if (e.kind != Entry::Kind::RdvChunk) e.rail = pick_rail(e);
     backlog_[static_cast<std::size_t>(e.rail)] += e.wire_bytes();
     auto& q = queues_[{e.rail, e.dst_proc}];
@@ -90,7 +99,7 @@ class QueuedStrategy : public Strategy {
       for (auto it = q.begin(); it != q.end();) {
         if (it->kind == Entry::Kind::RdvChunk && it->rdv_id == rdv_id) {
           backlog -= std::min(backlog, it->wire_bytes());
-          dropped += it->bytes.size();
+          dropped += it->chunk.size();
           it = q.erase(it);
           --pending_;
         } else {
@@ -187,6 +196,7 @@ class StratCostModel final : public QueuedStrategy {
 
   void enqueue(Entry e) override {
     if (e.kind == Entry::Kind::RdvChunk && e.rail < 0) {
+      assert_rdv_view(e);
       RdvJob job;
       job.dst = e.dst_proc;
       job.rdv_id = e.rdv_id;
@@ -194,7 +204,7 @@ class StratCostModel final : public QueuedStrategy {
       job.span = e.span;
       job.sreq = e.sreq;
       job.epoch = e.epoch;
-      job.bytes = std::move(e.bytes);
+      job.bytes = e.chunk;
       // Receiver load advertised in the CTS grant: convert each rail's
       // (busy_delta, backlog) into an absolute "ingress free at" estimate.
       // The advertised backlog drains at the rail's bandwidth, so the whole
@@ -280,7 +290,7 @@ class StratCostModel final : public QueuedStrategy {
     std::uint64_t span = 0;
     std::uint32_t epoch = 0;   ///< grant epoch stamped on every carved chunk
     Request* sreq = nullptr;
-    std::vector<std::byte> bytes;
+    std::span<const std::byte> bytes;  ///< view of the sender's buffer (Entry::chunk)
     /// Per local rail: absolute time the *receiver's* ingress is estimated
     /// free, from the CTS load advert (empty = no advert, one-ended model).
     std::vector<Time> remote_free_abs;
@@ -353,8 +363,7 @@ class StratCostModel final : public QueuedStrategy {
           std::max(rs.ready[static_cast<std::size_t>(rail)],
                    remote[static_cast<std::size_t>(rail)]) +
           sampling_.predict(rail, take + Entry::kRdvChunkHeader);
-      e.bytes.assign(job.bytes.begin() + static_cast<std::ptrdiff_t>(job.consumed),
-                     job.bytes.begin() + static_cast<std::ptrdiff_t>(job.consumed + take));
+      e.chunk = job.bytes.subspan(job.consumed, take);
       job.consumed += take;
       rdv_backlog_ -= take;
       if (job.consumed == job.bytes.size()) jobs_.erase(it);

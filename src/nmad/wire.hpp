@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "nmad/types.hpp"
@@ -72,19 +73,22 @@ struct Entry {
   static constexpr std::uint32_t kCollOpMask = 0xff;
   static constexpr std::uint32_t kCollDown = 0x100;
 
+  // Field order pairs the 4-byte fields so the struct carries no padding
+  // holes: strategies move Entries by value on every hop, and the eager hot
+  // path pays for every byte.
   Kind kind = Kind::Eager;
   int dst_proc = -1;
   Tag tag = 0;
   /// Per-(destination, tag) sequence number stamped on Eager and Rts so the
   /// receiver matches in MPI send order even across rails.
   std::uint32_t seq = 0;
-  std::uint64_t rdv_id = 0;     ///< Rts / Cts / RdvChunk
-  std::size_t rdv_total = 0;    ///< Rts: full message size
-  std::size_t offset = 0;       ///< RdvChunk: position in the message
   /// Rts: retransmission attempt (0 = original). A retransmitted RTS reuses
   /// the original seq/rdv_id so it either slots into the matching stream (the
   /// original was lost) or is recognised as a duplicate (only the CTS was).
   std::uint32_t retry = 0;
+  std::uint64_t rdv_id = 0;     ///< Rts / Cts / RdvChunk
+  std::size_t rdv_total = 0;    ///< Rts: full message size
+  std::size_t offset = 0;       ///< RdvChunk: position in the message
   /// Cts / RdvChunk: the receiver's grant epoch. Bumped when the receiver
   /// restarts and re-grants; chunks answering a stale epoch are dropped by
   /// the receiver and not double-counted by the sender.
@@ -97,14 +101,26 @@ struct Entry {
   double coll_value = 0;
   /// CollCtl: reduce op (kCollOpMask bits) + phase (kCollDown bit).
   std::uint32_t coll_ctl = 0;
-  std::vector<std::byte> bytes; ///< Eager payload or RdvChunk data
+  int rail = 0;                 ///< local rail, assigned by the strategy
+  /// Eager payload, copied at isend: an eager send completes at egress, and
+  /// the sender may reuse its buffer from then on. Empty for every other
+  /// kind.
+  std::vector<std::byte> bytes;
+  /// RdvChunk payload: a view of the sender's user buffer (sreq->sbuf +
+  /// offset), never a copy — the zero-copy rendezvous of §2.1.3. The view
+  /// stays valid until the receiver reads it: a rendezvous send retires only
+  /// in Core::try_retire, which needs the receiver's RdvFin for the current
+  /// epoch (sent after every byte landed), bytes_outstanding == 0 and
+  /// inflight_notes == 0, and until then the MPI layer can neither release
+  /// nor reuse the buffer. Chunks of a stale epoch are dropped before the
+  /// receiver touches the view.
+  std::span<const std::byte> chunk;
   /// Cts: the receiver's per-rail load advertisement (empty when the
   /// receiver does not advertise). Also rides the internal unplanned-RdvChunk
   /// hand-off from the core to chunk-planning strategies; never serialized
   /// for other kinds.
   std::vector<RailAd> rail_ads;
   Request* sreq = nullptr;      ///< sender request to progress at egress
-  int rail = 0;                 ///< local rail, assigned by the strategy
   std::uint64_t span = 0;       ///< message-lifecycle span this entry belongs to
   /// RdvChunk diagnostic (not charged on the wire, like span/sreq): the
   /// sender's predicted arrival time of this chunk at the receiver, from the
@@ -140,8 +156,18 @@ struct Entry {
     }
     return "?";
   }
-  std::size_t wire_bytes() const { return header_bytes() + bytes.size(); }
+  /// Payload bytes this entry carries: the rendezvous view for RdvChunk, the
+  /// eager copy otherwise (empty for control kinds).
+  std::size_t payload_size() const {
+    return kind == Kind::RdvChunk ? chunk.size() : bytes.size();
+  }
+  std::size_t wire_bytes() const { return header_bytes() + payload_size(); }
 };
+
+// Entries are moved by value through every strategy queue; pin the padding-
+// free layout so a new field is a deliberate size decision (LP64 only).
+static_assert(sizeof(void*) != 8 || sizeof(Entry) == 160,
+              "Entry grew past 160 bytes: pair new 4-byte fields, or justify the growth");
 
 // Fixed-header layout pins, derived from the field widths each kind carries
 // (the same derivations tests/wire_test.cpp checks at runtime; here they are
@@ -191,7 +217,7 @@ struct WireMsg {
   std::size_t rdv_bytes() const {
     std::size_t n = 0;
     for (const Entry& e : entries)
-      if (e.kind == Entry::Kind::RdvChunk) n += e.bytes.size();
+      if (e.kind == Entry::Kind::RdvChunk) n += e.payload_size();
     return n;
   }
 };

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "net/router.hpp"
 #include "nmad/core.hpp"
@@ -144,11 +145,12 @@ TEST(Strategy, RdvChunksTravelAlone) {
   Sampling s({RailPerf{0, 1e-6, 1e9}});
   auto strat = make_strategy(StrategyKind::Aggreg, s, {});
   strat->enqueue(eager_entry(1, 7, 0, 100));
+  const std::vector<std::byte> payload(100000);
   Entry chunk;
   chunk.kind = Entry::Kind::RdvChunk;
   chunk.dst_proc = 1;
   chunk.rail = 0;
-  chunk.bytes.resize(100000);
+  chunk.chunk = payload;
   strat->enqueue(std::move(chunk));
   auto wm1 = strat->next(0, 0);
   ASSERT_TRUE(wm1.has_value());
@@ -158,6 +160,8 @@ TEST(Strategy, RdvChunksTravelAlone) {
   ASSERT_TRUE(wm2.has_value());
   EXPECT_EQ(wm2->entries.size(), 1u);
   EXPECT_EQ(wm2->entries[0].kind, Entry::Kind::RdvChunk);
+  EXPECT_EQ(wm2->entries[0].chunk.data(), payload.data());  // the view, not a copy
+  EXPECT_EQ(wm2->entries[0].chunk.size(), payload.size());
 }
 
 TEST(Strategy, CostModelSteersSmallEntriesAwayFromBusyRail) {
@@ -205,12 +209,13 @@ TEST(Strategy, CostModelCarvesRendezvousIntoQuantumChunks) {
   ASSERT_TRUE(strat->plans_rdv_chunks());
 
   const std::size_t len = 300_KiB;
+  const std::vector<std::byte> payload(len);
   Entry job;
   job.kind = Entry::Kind::RdvChunk;
   job.dst_proc = 1;
   job.rdv_id = 1;
   job.rail = -1;  // unplanned: the strategy carves it
-  job.bytes.resize(len);
+  job.chunk = payload;
   strat->enqueue(std::move(job));
   EXPECT_EQ(strat->rdv_backlog_bytes(), len);
 
@@ -224,10 +229,11 @@ TEST(Strategy, CostModelCarvesRendezvousIntoQuantumChunks) {
     ASSERT_EQ(wm->entries.size(), 1u);
     const Entry& e = wm->entries[0];
     ASSERT_EQ(e.kind, Entry::Kind::RdvChunk);
-    EXPECT_LE(e.bytes.size(), opts.rdv_quantum);  // quantum respected
-    EXPECT_GT(e.bytes.size(), 0u);
-    per_rail[static_cast<std::size_t>(e.rail)] += e.bytes.size();
-    cover.emplace_back(e.offset, e.bytes.size());
+    EXPECT_LE(e.chunk.size(), opts.rdv_quantum);  // quantum respected
+    EXPECT_GT(e.chunk.size(), 0u);
+    EXPECT_EQ(e.chunk.data(), payload.data() + e.offset);  // carved as a subspan
+    per_rail[static_cast<std::size_t>(e.rail)] += e.chunk.size();
+    cover.emplace_back(e.offset, e.chunk.size());
   }
   EXPECT_EQ(strat->rdv_backlog_bytes(), 0u);
   EXPECT_GT(per_rail[0], 0u);  // equal rails: both carry data
@@ -304,9 +310,26 @@ TEST_F(CoreFixture, UnexpectedEagerMatchesLaterIrecv) {
   EXPECT_EQ(b->unexpected_count(), 0u);
 }
 
-TEST_F(CoreFixture, RendezvousTransfersLargeMessage) {
-  make_cores();
-  const std::size_t big = 1 << 20;
+// A rendezvous delivers the payload intact under each way of getting chunks
+// onto the wire — one pre-planned chunk, a static multirail split, and
+// cost-model carving. Every RdvChunk views the sender's buffer, so that
+// buffer must outlive the last landing: the send may only complete after the
+// receive has.
+struct RdvOrderCase {
+  StrategyKind strat;
+  std::vector<int> rails;
+  const char* name;
+};
+void PrintTo(const RdvOrderCase& c, std::ostream* os) { *os << c.name; }
+
+struct RdvOrderFixture : CoreFixture, ::testing::WithParamInterface<RdvOrderCase> {};
+
+TEST_P(RdvOrderFixture, RendezvousTransfersLargeMessage) {
+  make_cores(GetParam().strat, GetParam().rails);
+  std::string order;
+  a->set_on_complete([&](Request&) { order += 's'; });
+  b->set_on_complete([&](Request&) { order += 'r'; });
+  const std::size_t big = 4_MiB;  // several chunks under every strategy
   auto msg = pattern(big, 3);
   std::vector<std::byte> dst(big);
   Request* rr = b->irecv(0, 9, dst.data(), dst.size());
@@ -316,7 +339,15 @@ TEST_F(CoreFixture, RendezvousTransfersLargeMessage) {
   EXPECT_TRUE(rr->completed);
   EXPECT_EQ(a->rdv_started(), 1u);
   EXPECT_EQ(dst, msg);
+  EXPECT_EQ(order, "rs") << "the send retired before the receiver landed every byte";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, RdvOrderFixture,
+    ::testing::Values(RdvOrderCase{StrategyKind::Aggreg, {0}, "Aggreg1Rail"},
+                      RdvOrderCase{StrategyKind::SplitBalance, {0, 1}, "SplitBalance2Rails"},
+                      RdvOrderCase{StrategyKind::CostModel, {0, 1}, "CostModel2Rails"}),
+    [](const ::testing::TestParamInfo<RdvOrderCase>& info) { return info.param.name; });
 
 TEST_F(CoreFixture, MultirailSplitsRendezvousAcrossBothRails) {
   make_cores(StrategyKind::SplitBalance, {0, 1});

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -99,13 +100,16 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
     std::vector<std::pair<std::size_t, std::size_t>> out;  ///< (offset, len) seen
   };
   std::map<std::uint64_t, Rdv> rdvs;
+  // Sender buffers, alive for the whole drain: chunks are views into them.
+  std::map<std::uint64_t, std::vector<std::byte>> payloads;
   auto pattern = [](std::uint64_t id, std::size_t off) {
     return static_cast<std::byte>((id * 131 + off) & 0xff);
   };
   for (std::uint64_t id = 1; id <= 3; ++id) {
     const std::size_t len = 64_KiB + rng.below(1u << 20);
     rdvs[id].len = len;
-    std::vector<std::byte> payload(len);
+    std::vector<std::byte>& payload = payloads[id];
+    payload.resize(len);
     for (std::size_t i = 0; i < len; ++i) payload[i] = pattern(id, i);
     if (strat->plans_rdv_chunks()) {
       nmad::Entry e;
@@ -114,7 +118,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
       e.rdv_id = id;
       e.offset = 0;
       e.rail = -1;
-      e.bytes = std::move(payload);
+      e.chunk = payload;
       strat->enqueue(std::move(e));
     } else {
       const std::vector<std::size_t> shares = strat->plan_rdv(len);
@@ -128,8 +132,7 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
         e.rdv_id = id;
         e.offset = off;
         e.rail = static_cast<int>(r);
-        e.bytes.assign(payload.begin() + static_cast<std::ptrdiff_t>(off),
-                       payload.begin() + static_cast<std::ptrdiff_t>(off + shares[r]));
+        e.chunk = std::span<const std::byte>(payload).subspan(off, shares[r]);
         off += shares[r];
         strat->enqueue(std::move(e));
       }
@@ -164,11 +167,14 @@ TEST_P(StrategyProperty, ConservesEntriesBytesAndOrderWithoutStarving) {
           } else {
             ASSERT_EQ(e.kind, nmad::Entry::Kind::RdvChunk);
             ASSERT_TRUE(rdvs.count(e.rdv_id));
-            EXPECT_GT(e.bytes.size(), 0u);
-            for (std::size_t i = 0; i < e.bytes.size(); i += 97) {
-              ASSERT_EQ(e.bytes[i], pattern(e.rdv_id, e.offset + i)) << "payload corrupted";
+            EXPECT_GT(e.chunk.size(), 0u);
+            // Zero-copy: the chunk views the sender's buffer at its offset.
+            // A copying strategy would still pass the pattern check below.
+            EXPECT_EQ(e.chunk.data(), payloads[e.rdv_id].data() + e.offset) << "chunk was copied";
+            for (std::size_t i = 0; i < e.chunk.size(); i += 97) {
+              ASSERT_EQ(e.chunk[i], pattern(e.rdv_id, e.offset + i)) << "payload corrupted";
             }
-            rdvs[e.rdv_id].out.emplace_back(e.offset, e.bytes.size());
+            rdvs[e.rdv_id].out.emplace_back(e.offset, e.chunk.size());
           }
         }
         if (wm->entries.size() > 1) {
@@ -339,6 +345,7 @@ TEST(TwoEndedSplit, ReceiverSaturatedRailShedsItsShare) {
   auto drain = [&](const std::vector<nmad::RailAd>& ads, std::size_t len,
                    std::vector<std::size_t>& per_rail) {
     auto strat = nmad::make_strategy(nmad::StrategyKind::CostModel, sampling, opts);
+    const std::vector<std::byte> payload(len);
     nmad::Entry e;
     e.kind = nmad::Entry::Kind::RdvChunk;
     e.dst_proc = 1;
@@ -346,7 +353,7 @@ TEST(TwoEndedSplit, ReceiverSaturatedRailShedsItsShare) {
     e.offset = 0;
     e.rail = -1;  // unplanned: the strategy carves chunks itself
     e.rail_ads = ads;
-    e.bytes.resize(len);
+    e.chunk = payload;
     strat->enqueue(std::move(e));
     EXPECT_EQ(strat->rdv_backlog_bytes(), len);
 
@@ -362,8 +369,9 @@ TEST(TwoEndedSplit, ReceiverSaturatedRailShedsItsShare) {
           progress = true;
           for (const nmad::Entry& c : wm->entries) {
             ASSERT_EQ(c.kind, nmad::Entry::Kind::RdvChunk);
-            per_rail[static_cast<std::size_t>(r)] += c.bytes.size();
-            cover.emplace_back(c.offset, c.bytes.size());
+            EXPECT_EQ(c.chunk.data(), payload.data() + c.offset) << "chunk was copied";
+            per_rail[static_cast<std::size_t>(r)] += c.chunk.size();
+            cover.emplace_back(c.offset, c.chunk.size());
           }
         }
       }
@@ -421,18 +429,20 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
   {  // CostModel: unplanned job, partially carved, then cancelled.
     auto strat = nmad::make_strategy(nmad::StrategyKind::CostModel, sampling, opts);
     constexpr std::size_t kLen = 64_KiB;
+    const std::vector<std::byte> payload(kLen);
     nmad::Entry e;
     e.kind = nmad::Entry::Kind::RdvChunk;
     e.dst_proc = 1;
     e.rdv_id = 9;
     e.offset = 0;
     e.rail = -1;
-    e.bytes.resize(kLen);
+    e.chunk = payload;
     strat->enqueue(std::move(e));
 
     const auto wm = strat->next(0, /*src=*/0);  // carve one chunk first
     ASSERT_TRUE(wm.has_value());
-    const std::size_t carved = wm->entries.front().bytes.size();
+    const std::size_t carved = wm->entries.front().chunk.size();
+    EXPECT_EQ(wm->entries.front().chunk.data(), payload.data());
     ASSERT_GT(carved, 0u);
     ASSERT_LT(carved, kLen);
     EXPECT_EQ(strat->rdv_backlog_bytes(), kLen - carved);
@@ -451,6 +461,7 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
   {  // SplitBalance: pre-planned chunks sitting in the rail queues.
     auto strat = nmad::make_strategy(nmad::StrategyKind::SplitBalance, sampling, opts);
     constexpr std::size_t kLen = 128_KiB;
+    const std::vector<std::byte> payload(kLen);
     const std::vector<std::size_t> shares = strat->plan_rdv(kLen);
     std::size_t off = 0;
     for (std::size_t r = 0; r < shares.size(); ++r) {
@@ -461,7 +472,7 @@ TEST(CancelRdv, DrainsHeldJobAndPlannedChunksToZeroBacklog) {
       c.rdv_id = 11;
       c.offset = off;
       c.rail = static_cast<int>(r);
-      c.bytes.resize(shares[r]);
+      c.chunk = std::span<const std::byte>(payload).subspan(off, shares[r]);
       off += shares[r];
       strat->enqueue(std::move(c));
     }

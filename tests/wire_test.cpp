@@ -7,6 +7,8 @@
 // free, or the chaos tier's recovery-time bounds measure fiction.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nmad/wire.hpp"
 
 namespace {
@@ -118,9 +120,10 @@ TEST(WireFormat, RecoveryFieldsAreHeaderChargedNotExtra) {
 TEST(WireFormat, DiagnosticFieldsAreNotWireCharged) {
   // span, sreq and pred_arrival are simulator bookkeeping that real hardware
   // would not serialize; stamping them must not change the charged size.
+  const std::vector<std::byte> payload(1024);
   Entry e;
   e.kind = Entry::Kind::RdvChunk;
-  e.bytes.resize(1024);
+  e.chunk = payload;  // rendezvous data is a view of the sender's buffer
   const std::size_t base = e.wire_bytes();
   e.span = 42;
   e.pred_arrival = 1.5;
@@ -136,9 +139,10 @@ TEST(WireFormat, WireMsgAggregatesEntryCosts) {
   Entry cts;
   cts.kind = Entry::Kind::Cts;
   cts.rail_ads.resize(2);
+  const std::vector<std::byte> payload(2048);
   Entry chunk;
   chunk.kind = Entry::Kind::RdvChunk;
-  chunk.bytes.resize(2048);
+  chunk.chunk = payload;
   wm.entries = {eager, cts, chunk};
   EXPECT_EQ(wm.wire_bytes(), (Entry::kEagerHeader + 100) +
                                  (Entry::kCtsHeaderBase + 2 * RailAd::kWireSize) +
