@@ -272,8 +272,8 @@ void BaseTransport::leave_progress() {
 // ---------------------------------------------------------------------------
 
 void BaseTransport::send_self(BaseRequest* req, const void* buf, std::size_t len) {
-  std::vector<std::byte> payload(len);
-  if (len > 0) std::memcpy(payload.data(), buf, len);
+  const auto* bytes = static_cast<const std::byte*>(buf);
+  std::vector<std::byte> payload(bytes, bytes + len);
   const int tag = req->tag;
   const int ctx = req->context;
   eng_->schedule_in_checked(kSelfLatency, [this, tag, ctx, payload = std::move(payload)]() mutable {
@@ -291,17 +291,10 @@ void BaseTransport::send_shm(BaseRequest* req, const void* buf, std::size_t len)
   nemesis::Message m;
   m.src_local = local_index_;
   m.header = hdr;
-  m.payload.resize(len);
-  if (len > 0) std::memcpy(m.payload.data(), buf, len);
-  // dst local index
-  const net::Topology& topo = fabric_->topology();
-  const int node = topo.node_of(req->peer);
-  int local = 0;
-  for (int p = 0; p < req->peer; ++p) {
-    if (topo.node_of(p) == node) ++local;
-  }
-  shm_->send(local, std::move(m));
-  complete_send(req);  // copied into cells
+  const auto* bytes = static_cast<const std::byte*>(buf);
+  m.payload.assign(bytes, bytes + len);
+  shm_->send(fabric_->topology().local_index(req->peer), std::move(m));
+  complete_send(req);  // copied into the message — buffer reusable
 }
 
 void BaseTransport::handle_shm(nemesis::Message&& m) {

@@ -100,16 +100,6 @@ Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& r
 
 Ch3Process::~Ch3Process() = default;
 
-int Ch3Process::local_of(int rank) const {
-  const net::Topology& topo = fabric_.topology();
-  const int node = topo.node_of(rank);
-  int local = 0;
-  for (int p = 0; p < rank; ++p) {
-    if (topo.node_of(p) == node) ++local;
-  }
-  return local;
-}
-
 // ---------------------------------------------------------------------------
 // pools and nmad plumbing
 // ---------------------------------------------------------------------------
@@ -242,7 +232,7 @@ bool Ch3Process::match_unexpected(MpidRequest* req) {
       nemesis::Message m;
       m.src_local = local_index_;
       m.header = cts;
-      shm_->send(local_of(msg.src), std::move(m));
+      shm_->send(fabric_.topology().local_index(msg.src), std::move(m));
     } else {
       NMX_ASSERT(msg.origin == UnexMsg::Origin::LegacyNet);
       legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
@@ -286,7 +276,7 @@ void Ch3Process::deliver_local(UnexMsg msg) {
     nemesis::Message m;
     m.src_local = local_index_;
     m.header = cts;
-    shm_->send(local_of(msg.src), std::move(m));
+    shm_->send(fabric_.topology().local_index(msg.src), std::move(m));
   } else {
     legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
   }
@@ -461,21 +451,17 @@ void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
     m.src_local = local_index_;
     m.header = hdr;
     m.payload.assign(bytes, bytes + len);
-    shm_->send(local_of(req->peer), std::move(m));
-    complete_send(req);  // copied into cells — buffer reusable
+    shm_->send(fabric_.topology().local_index(req->peer), std::move(m));
+    complete_send(req);  // copied into the message — buffer reusable
   } else {
     // CH3 shared-memory rendezvous (the left half of Figure 2).
     hdr.kind = ShmHdr::Kind::Rts;
     hdr.rdv_id = next_shm_rdv_++;
-    ShmRdvOut out;
-    out.req = req;
-    out.dst = req->peer;
-    out.payload.assign(bytes, bytes + len);
-    shm_rdv_out_.emplace(hdr.rdv_id, std::move(out));
+    shm_rdv_out_.emplace(hdr.rdv_id, ShmRdvOut{req, bytes, len, req->peer});
     nemesis::Message m;
     m.src_local = local_index_;
     m.header = hdr;
-    shm_->send(local_of(req->peer), std::move(m));
+    shm_->send(fabric_.topology().local_index(req->peer), std::move(m));
   }
 }
 
@@ -534,7 +520,7 @@ void Ch3Process::process_shm(ShmHdr hdr, std::vector<std::byte> payload, int /*s
     case ShmHdr::Kind::Cts: {
       auto it = shm_rdv_out_.find(hdr.rdv_id);
       NMX_ASSERT_MSG(it != shm_rdv_out_.end(), "shm CTS for unknown rendezvous");
-      ShmRdvOut out = std::move(it->second);
+      const ShmRdvOut out = it->second;
       shm_rdv_out_.erase(it);
       ShmHdr data;
       data.kind = ShmHdr::Kind::Data;
@@ -542,13 +528,15 @@ void Ch3Process::process_shm(ShmHdr hdr, std::vector<std::byte> payload, int /*s
       data.tag = out.req->tag;
       data.context = out.req->context;
       data.rdv_id = hdr.rdv_id;
-      data.len = out.payload.size();
+      data.len = out.len;
       data.span = out.req->span;
       nemesis::Message m;
       m.src_local = local_index_;
       m.header = data;
-      m.payload = std::move(out.payload);
-      shm_->send(local_of(out.dst), std::move(m));
+      // The one sender-side copy, made while the send is still incomplete
+      // (see ShmRdvOut); from here on the user may reuse the buffer.
+      m.payload.assign(out.buf, out.buf + out.len);
+      shm_->send(fabric_.topology().local_index(out.dst), std::move(m));
       complete_send(out.req);
       break;
     }

@@ -103,9 +103,14 @@ class Ch3Process final : public mpi::Transport {
     std::vector<std::byte> payload;
   };
 
+  /// A shm rendezvous awaiting its CTS. `buf` views the sender's buffer, not
+  /// a copy: the send completes only in the CTS handler, after the DATA
+  /// message has copied the bytes, and MPI forbids touching the buffer of an
+  /// incomplete send, so the view stays valid until then.
   struct ShmRdvOut {
     MpidRequest* req;
-    std::vector<std::byte> payload;
+    const std::byte* buf;
+    std::size_t len;
     int dst;
   };
 
@@ -161,7 +166,6 @@ class Ch3Process final : public mpi::Transport {
   void finish(MpidRequest* req);  // complete_and_wake with any-source penalty
 
   bool in_progress() const { return depth_ > 0; }
-  int local_of(int rank) const;
 
   sim::Engine& eng_;
   net::Fabric& fabric_;

@@ -38,21 +38,18 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
 
   // Per-node infrastructure: shared-memory region (when >1 local process)
   // and the NIC demultiplexer.
-  std::vector<int> local_count(static_cast<std::size_t>(t.num_nodes), 0);
-  for (int p = 0; p < t.num_procs(); ++p) local_count[static_cast<std::size_t>(t.node_of(p))]++;
   shm_nodes_.resize(static_cast<std::size_t>(t.num_nodes));
   for (int n = 0; n < t.num_nodes; ++n) {
-    if (local_count[static_cast<std::size_t>(n)] > 1) {
+    if (t.procs_on(n) > 1) {
       shm_nodes_[static_cast<std::size_t>(n)] =
-          std::make_unique<nemesis::ShmNode>(eng_, local_count[static_cast<std::size_t>(n)]);
+          std::make_unique<nemesis::ShmNode>(eng_, t.procs_on(n));
     }
     routers_.push_back(std::make_unique<net::ProcRouter>(*fabric_, n));
   }
 
-  std::vector<int> next_local(static_cast<std::size_t>(t.num_nodes), 0);
   for (int p = 0; p < t.num_procs(); ++p) {
     const int node = t.node_of(p);
-    const int local = next_local[static_cast<std::size_t>(node)]++;
+    const int local = t.local_index(p);
     nemesis::ShmNode* shm = shm_nodes_[static_cast<std::size_t>(node)].get();
     net::ProcRouter& router = *routers_[static_cast<std::size_t>(node)];
 
@@ -115,10 +112,7 @@ void Cluster::run_threads(int threads, std::function<void(Comm&, int thread)> bo
   eng_.reap_finished();
   const net::Topology& t = fabric_->topology();
   for (int p = 0; p < cfg_.procs; ++p) {
-    int locals = 0;
-    for (int q = 0; q < t.num_procs(); ++q) {
-      if (t.same_node(p, q)) ++locals;
-    }
+    const int locals = t.procs_on(t.node_of(p));
     for (int th = 0; th < threads; ++th) {
       eng_.spawn("rank" + std::to_string(p) + ".t" + std::to_string(th) + ".run" +
                      std::to_string(runs_),
@@ -138,10 +132,7 @@ void Cluster::run(std::function<void(Comm&)> body) {
   eng_.reap_finished();  // see run_threads: pool per-rank state across runs
   const net::Topology& t = fabric_->topology();
   for (int p = 0; p < cfg_.procs; ++p) {
-    int locals = 0;
-    for (int q = 0; q < t.num_procs(); ++q) {
-      if (t.same_node(p, q)) ++locals;
-    }
+    const int locals = t.procs_on(t.node_of(p));
     eng_.spawn("rank" + std::to_string(p) + ".run" + std::to_string(runs_),
                [this, p, locals, body](sim::Actor& self) {
                  Comm comm(self, *transports_[static_cast<std::size_t>(p)], eng_, p, cfg_.procs,

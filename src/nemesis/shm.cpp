@@ -1,7 +1,6 @@
 #include "nemesis/shm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -44,7 +43,8 @@ void ShmNode::send(int dst_local, Message msg) {
   NMX_ASSERT(dst_local >= 0 && dst_local < num_local_);
   NMX_ASSERT_MSG(msg.src_local != dst_local, "self-sends are short-circuited above Nemesis");
   const int src = msg.src_local;
-  procs_[src].sends.push_back(PendingSend{dst_local, std::move(msg), 0, false});
+  const std::size_t total = msg.payload.size();
+  procs_[src].sends.push_back(PendingSend{dst_local, std::move(msg), total, 0, false});
   pump(src);
 }
 
@@ -52,7 +52,7 @@ void ShmNode::pump(int src_local) {
   ProcState& ps = procs_[static_cast<std::size_t>(src_local)];
   while (!ps.sends.empty()) {
     PendingSend& s = ps.sends.front();
-    const std::size_t total = s.msg.payload.size();
+    const std::size_t total = s.total;
     // Inject fragments while cells are available. A zero-byte message still
     // takes one (header-only) cell.
     while (!s.started || s.offset < total) {
@@ -67,9 +67,10 @@ void ShmNode::pump(int src_local) {
       cell.dst_local = s.dst_local;
       cell.first = !s.started;
       cell.total_bytes = total;
-      if (cell.first) cell.header = std::move(s.msg.header);
-      cell.data.assign(s.msg.payload.begin() + static_cast<std::ptrdiff_t>(s.offset),
-                       s.msg.payload.begin() + static_cast<std::ptrdiff_t>(s.offset + frag));
+      if (cell.first) {
+        cell.header = std::move(s.msg.header);
+        cell.payload = std::move(s.msg.payload);
+      }
       s.offset += frag;
       s.started = true;
 
@@ -111,20 +112,25 @@ bool ShmNode::poll(int local_proc) {
     ProcState::Partial& part = pd.partial[static_cast<std::size_t>(cell.src_local)];
     if (cell.first) {
       NMX_ASSERT_MSG(!part.active, "new message started before previous completed");
+      NMX_ASSERT_MSG(cell.payload.size() == cell.total_bytes,
+                     "first cell must carry the whole payload");
       part.active = true;
       part.header = std::move(cell.header);
-      part.expected = cell.total_bytes;
-      part.payload.clear();
-      part.payload.reserve(part.expected);
+      part.payload = std::move(cell.payload);
+      part.received = 0;
     }
     NMX_ASSERT_MSG(part.active, "fragment without a first-fragment header");
-    part.payload.insert(part.payload.end(), cell.data.begin(), cell.data.end());
+    NMX_ASSERT_MSG(cell.total_bytes == part.payload.size(),
+                   "continuation cell of another message");
+    // The sender's fragment formula: this cell stands for the next
+    // min(cell_payload, remaining) bytes of the message.
+    const std::size_t total = part.payload.size();
+    part.received += std::min(cfg_.cell_payload, total - part.received);
     const int src = cell.src_local;
     const int owner = cell.owner;
 
     // Return the cell before delivering: delivery code may trigger sends
     // that need it.
-    cell.data.clear();
     cell.header.reset();
     --cells_in_flight_;
     procs_[static_cast<std::size_t>(owner)].free_queue.enqueue(pool_, ci);
@@ -133,13 +139,12 @@ bool ShmNode::poll(int local_proc) {
       pump(owner);
     }
 
-    if (part.active && part.payload.size() == part.expected) {
+    if (part.received == total) {
       Message m;
       m.src_local = src;
       m.header = std::move(part.header);
       m.payload = std::move(part.payload);
       part.active = false;
-      part.payload.clear();
       NMX_ASSERT_MSG(pd.deliver != nullptr, "no deliver callback registered");
       pd.deliver(std::move(m));
     }

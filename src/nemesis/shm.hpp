@@ -3,6 +3,14 @@
 // enqueue. Large messages are fragmented into cells; the receiver polls its
 // single receive queue (which is what makes MPI_ANY_SOURCE cheap here).
 //
+// Data model: the payload is not copied through the cells on the host. The
+// first cell carries the message's whole payload vector (moved, not copied)
+// next to the header; every cell, first or continuation, still stands for
+// one fragment of min(cell_payload, remaining) bytes, and is dequeued,
+// timed, counted and flow-controlled as if it held those bytes. The
+// receiver recomputes each fragment's length with the sender's formula and
+// delivers the vector once all of its bytes have been counted.
+//
 // Timing model: copying into a cell occupies the sender CPU (serialized via a
 // Channel), each cell then becomes visible to the receiver after
 // calib::kShmLatency plus the copy-out cost. Flow control is real: a sender
@@ -26,8 +34,9 @@
 namespace nmx::nemesis {
 
 /// One logical message handed to / delivered by the channel. `header` is an
-/// opaque upper-layer struct (CH3 packet header); `payload` is copied for
-/// real through the cells.
+/// opaque upper-layer struct (CH3 packet header). `payload` moves with the
+/// first cell: the receiver gets the very vector the sender handed in, and
+/// the cells only account for its bytes (fragment sizes, copy time).
 struct Message {
   int src_local = -1;  ///< sender's node-local process index
   std::any header;
@@ -82,13 +91,14 @@ class ShmNode {
     bool first = false;           ///< first fragment: carries the header
     std::size_t total_bytes = 0;  ///< payload size of the whole message
     std::any header;              ///< only on first fragment
-    std::vector<std::byte> data;  ///< this fragment's payload slice
+    std::vector<std::byte> payload;  ///< whole message payload, first fragment only
   };
 
   struct PendingSend {
     int dst_local;
-    Message msg;
-    std::size_t offset = 0;
+    Message msg;  ///< payload moves into the first cell
+    std::size_t total = 0;   ///< payload size, kept once the payload has moved
+    std::size_t offset = 0;  ///< bytes already accounted to cells
     bool started = false;
   };
 
@@ -106,8 +116,8 @@ class ShmNode {
     struct Partial {
       bool active = false;
       std::any header;
-      std::vector<std::byte> payload;
-      std::size_t expected = 0;
+      std::vector<std::byte> payload;  ///< from the first cell, full size
+      std::size_t received = 0;        ///< bytes accounted by cells so far
     };
     std::vector<Partial> partial;  ///< indexed by src_local
   };

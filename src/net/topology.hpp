@@ -34,6 +34,8 @@ NicProfile mx_profile();
 struct Topology {
   int num_nodes = 0;
   std::vector<int> proc_node;       ///< proc rank -> node index
+  std::vector<int> proc_local;      ///< proc rank -> index among its node's procs
+  std::vector<int> node_procs;      ///< node index -> number of procs on it
   std::vector<NicProfile> rails;    ///< rail index -> NIC model
 
   int num_procs() const { return static_cast<int>(proc_node.size()); }
@@ -43,6 +45,16 @@ struct Topology {
     return proc_node[proc];
   }
   bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
+  /// Node-local index of `proc`: its rank order among the procs of its node
+  /// (the Nemesis queue it owns on that node's shared-memory region).
+  int local_index(int proc) const {
+    NMX_ASSERT(proc >= 0 && proc < num_procs());
+    return proc_local[static_cast<std::size_t>(proc)];
+  }
+  int procs_on(int node) const {
+    NMX_ASSERT(node >= 0 && node < num_nodes);
+    return node_procs[static_cast<std::size_t>(node)];
+  }
 
   /// `procs` ranks distributed round-robin-block over `nodes` nodes
   /// (ranks 0..k-1 on node 0, etc. — the usual block mapping).
@@ -53,6 +65,7 @@ struct Topology {
     t.rails = std::move(rails_);
     const int per = (procs + nodes - 1) / nodes;
     for (int p = 0; p < procs; ++p) t.proc_node.push_back(p / per);
+    t.index_locals();
     return t;
   }
 
@@ -65,7 +78,18 @@ struct Topology {
     t.num_nodes = nodes;
     t.rails = std::move(rails_);
     for (int p = 0; p < procs; ++p) t.proc_node.push_back(p % nodes);
+    t.index_locals();
     return t;
+  }
+
+ private:
+  /// Derive proc_local and node_procs from proc_node in one pass.
+  void index_locals() {
+    node_procs.assign(static_cast<std::size_t>(num_nodes), 0);
+    proc_local.clear();
+    for (const int node : proc_node) {
+      proc_local.push_back(node_procs[static_cast<std::size_t>(node)]++);
+    }
   }
 };
 

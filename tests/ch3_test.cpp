@@ -4,6 +4,7 @@
 // entry, deferred known-source receives, and the legacy (non-bypass) path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ch3/anysource.hpp"
@@ -256,6 +257,52 @@ TEST(AnySourceIntegration, ConstantLatencyPenalty) {
   EXPECT_NEAR(gap_small, 0.3e-6, 0.05e-6);
   EXPECT_NEAR(gap_large, 0.3e-6, 0.05e-6);
 }
+
+// ---------------------------------------------------------------------------
+// Intra-node CH3 rendezvous (Nemesis LMT)
+// ---------------------------------------------------------------------------
+
+// The shm rendezvous keeps a view of the sender's buffer until the CTS, so
+// the send must stay incomplete until the receive is posted and the CTS is
+// handled; once it completes the buffer is the user's again, and scribbling
+// on it must not reach the receiver.
+class ShmRendezvous : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ShmRendezvous, LateReceiveHoldsSendUntilCts) {
+  mpi::ClusterConfig cfg = stack_cfg(1, 2);  // both ranks on one node
+  cfg.pioman = GetParam();
+  mpi::Cluster cluster(cfg);
+  const std::size_t n = 256 * 1024;  // above the 64 KiB shm rendezvous switch
+  std::vector<std::byte> msg(n);
+  for (std::size_t i = 0; i < n; ++i) msg[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+  const double recv_post = 500e-6;
+  double send_done = -1;
+  double posted_at = -1;
+  cluster.run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<std::byte> buf = msg;
+      mpi::Request r = c.isend(buf.data(), buf.size(), 1, 4);
+      for (int i = 0; i < 4; ++i) {
+        c.compute(100e-6);  // the RTS has long arrived; no receive yet
+        EXPECT_FALSE(c.test(r)) << "shm rendezvous send completed before its CTS";
+      }
+      c.wait(r);
+      send_done = c.wtime();
+      std::fill(buf.begin(), buf.end(), std::byte{0xee});  // reuse is legal now
+    } else {
+      c.compute(recv_post);
+      std::vector<std::byte> in(n);
+      posted_at = c.wtime();
+      auto st = c.recv(in.data(), in.size(), 0, 4);
+      EXPECT_EQ(st.count, n);
+      EXPECT_EQ(in, msg);
+    }
+  });
+  EXPECT_GE(posted_at, recv_post);
+  EXPECT_GT(send_done, posted_at);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pioman, ShmRendezvous, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
 // Legacy netmod path (bypass = false)

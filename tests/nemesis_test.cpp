@@ -90,12 +90,16 @@ struct ShmFixture : ::testing::Test {
     node.set_activity_hook(1, [this] { node.poll(1); });
   }
 
-  void send(std::size_t n, int tag_seed) {
+  /// Returns the sent payload's buffer, to check that delivery hands over
+  /// the same vector instead of a copy.
+  const std::byte* send(std::size_t n, int tag_seed) {
     Message m;
     m.src_local = 0;
     m.header = tag_seed;
     m.payload = payload_of(n, tag_seed);
+    const std::byte* buf = m.payload.data();
     node.send(1, std::move(m));
+    return buf;
   }
 };
 
@@ -117,11 +121,13 @@ TEST_F(ShmFixture, ZeroByteMessageStillDelivers) {
 
 TEST_F(ShmFixture, LargeMessageFragmentsAcrossCells) {
   const std::size_t big = 200 * 1024;  // 25 cells at the 8 KiB default
-  send(big, 2);
+  const std::byte* sent = send(big, 2);
   eng.run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].payload.size(), big);
   EXPECT_EQ(delivered[0].payload, payload_of(big, 2));
+  EXPECT_EQ(delivered[0].payload.data(), sent);  // moved through, not copied
+  EXPECT_EQ(node.mailbox(1), 25u);              // still one cell per fragment
 }
 
 TEST_F(ShmFixture, MessagesKeepSendOrder) {
@@ -137,10 +143,56 @@ TEST_F(ShmFixture, FlowControlSurvivesMessageLargerThanAllCells) {
   // 64 cells x 8 KiB = 512 KiB of cells; send 2 MiB. Progress requires the
   // receiver to return cells — the activity hook polls, so it must drain.
   const std::size_t huge = 2 * 1024 * 1024;
-  send(huge, 3);
+  const std::byte* sent = send(huge, 3);
   eng.run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].payload.size(), huge);
+  EXPECT_EQ(delivered[0].payload, payload_of(huge, 3));
+  EXPECT_EQ(delivered[0].payload.data(), sent);
+  EXPECT_EQ(node.cells_in_flight(), 0u);
+}
+
+TEST(ShmInterleave, TwoSendersMultiCellMessagesIntoOneReceiver) {
+  // Two local senders stream multi-cell messages into one receiver through
+  // a small cell pool, so their cells interleave in the receive queue and
+  // both stall on flow control. Each sender's partial message must be
+  // reassembled on its own, in its own send order.
+  sim::Engine eng;
+  ShmConfig cfg;
+  cfg.cells_per_proc = 3;
+  cfg.cell_payload = 1000;
+  ShmNode node(eng, 3, cfg);
+  std::vector<Message> delivered;
+  node.set_deliver(2, [&](Message&& m) { delivered.push_back(std::move(m)); });
+  node.set_activity_hook(2, [&] { node.poll(2); });
+
+  constexpr int kPerSender = 6;
+  auto size_of = [](int src, int i) {
+    return static_cast<std::size_t>(2500 + 1700 * i + 333 * src);  // 3..13 cells
+  };
+  for (int i = 0; i < kPerSender; ++i) {
+    for (int src = 0; src < 2; ++src) {
+      Message m;
+      m.src_local = src;
+      m.header = i;
+      m.payload = payload_of(size_of(src, i), 16 * src + i);
+      node.send(2, std::move(m));
+    }
+  }
+  eng.run();
+
+  ASSERT_EQ(delivered.size(), 2u * kPerSender);
+  std::vector<int> next(2, 0);
+  bool interleaved = false;
+  for (std::size_t k = 0; k < delivered.size(); ++k) {
+    const Message& m = delivered[k];
+    const int i = std::any_cast<int>(m.header);
+    EXPECT_EQ(i, next[static_cast<std::size_t>(m.src_local)]++) << "per-sender order";
+    EXPECT_EQ(m.payload, payload_of(size_of(m.src_local, i), 16 * m.src_local + i));
+    if (k > 0 && delivered[k - 1].src_local != m.src_local) interleaved = true;
+  }
+  EXPECT_EQ(next, (std::vector<int>{kPerSender, kPerSender}));
+  EXPECT_TRUE(interleaved);
   EXPECT_EQ(node.cells_in_flight(), 0u);
 }
 

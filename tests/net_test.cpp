@@ -3,6 +3,8 @@
 // per-process routing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
 #include "net/router.hpp"
@@ -41,6 +43,35 @@ TEST(Topology, CyclicMappingScatters) {
   for (int a = 0; a < 8; ++a) {
     for (int b = a + 1; b < 8; ++b) EXPECT_FALSE(t8.same_node(a, b));
   }
+}
+
+TEST(Topology, LocalIndexMatchesRankOrderOnNode) {
+  // The node-local index is the count of lower ranks on the same node (the
+  // per-send loop it replaced); procs_on is the node's population.
+  for (const Topology& t : {Topology::blocked(3, 7, {ib_profile()}),
+                            Topology::blocked(4, 16, {ib_profile()}),
+                            Topology::cyclic(3, 8, {ib_profile()}),
+                            Topology::cyclic(10, 8, {ib_profile()})}) {
+    std::vector<int> population(static_cast<std::size_t>(t.num_nodes), 0);
+    for (int p = 0; p < t.num_procs(); ++p) {
+      int lower = 0;
+      for (int q = 0; q < p; ++q) {
+        if (t.node_of(q) == t.node_of(p)) ++lower;
+      }
+      EXPECT_EQ(t.local_index(p), lower) << "proc " << p;
+      ++population[static_cast<std::size_t>(t.node_of(p))];
+    }
+    for (int n = 0; n < t.num_nodes; ++n) {
+      EXPECT_EQ(t.procs_on(n), population[static_cast<std::size_t>(n)]) << "node " << n;
+    }
+  }
+  // Spot values: blocked 0,1,2 | 3,4,5 | 6 and cyclic over 3 nodes.
+  const Topology b = Topology::blocked(3, 7, {ib_profile()});
+  EXPECT_EQ(b.local_index(4), 1);
+  EXPECT_EQ(b.local_index(6), 0);
+  const Topology c = Topology::cyclic(3, 8, {ib_profile()});
+  EXPECT_EQ(c.local_index(7), 2);  // node 1 holds 1, 4, 7
+  EXPECT_EQ(c.procs_on(2), 2);     // node 2 holds 2, 5
 }
 
 struct FabricFixture : ::testing::Test {
