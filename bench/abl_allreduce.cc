@@ -14,8 +14,8 @@
 //
 // The whole session is deterministic virtual time, so the numbers are
 // runner-independent. They are emitted as BENCH_abl_allreduce.json — rows of
-// {"bench", "ranks", "events_per_s"} where events_per_s is collective
-// operations per *virtual* second — and CI gates them against
+// {"bench", "ranks", "us"} where us is the collective's virtual time in
+// microseconds — and CI gates them (lower is better) against
 // bench/BENCH_abl_allreduce.baseline.json with check_bench_regression.py.
 #include <fstream>
 
@@ -103,9 +103,8 @@ void write_sidecar(const std::vector<Row>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "  {\"bench\": \"%s\", \"ranks\": %d, \"us\": %.6g, "
-                  "\"events_per_s\": %.9g}%s\n",
-                  rows[i].bench.c_str(), rows[i].ranks, rows[i].us, 1e6 / rows[i].us,
+                  "  {\"bench\": \"%s\", \"ranks\": %d, \"us\": %.6g}%s\n",
+                  rows[i].bench.c_str(), rows[i].ranks, rows[i].us,
                   i + 1 < rows.size() ? "," : "");
     os << buf;
   }

@@ -6,16 +6,18 @@
 
 namespace nmx::baseline {
 
-MvapichTransport::MvapichTransport(Env env) : MvapichTransport(env, Config{}) {}
+namespace {
+constexpr std::size_t kRcacheCapacity = 1_GiB;
+}  // namespace
 
-MvapichTransport::MvapichTransport(Env env, Config cfg)
+MvapichTransport::MvapichTransport(Env env, bool use_rcache)
     : BaseTransport(env, calib::kMvapichSwSend, calib::kMvapichSwRecv, /*shm_extra=*/0.05_us),
-      cfg_(cfg),
-      rcache_(cfg.rcache_capacity, [](std::size_t bytes) { return calib::ib_reg_cost(bytes); }) {}
+      use_rcache_(use_rcache),
+      rcache_(kRcacheCapacity, [](std::size_t bytes) { return calib::ib_reg_cost(bytes); }) {}
 
 Time MvapichTransport::acquire_registration(const void* buf, std::size_t len) {
   if (!fabric().profile(rail()).needs_registration) return 0;
-  if (!cfg_.use_rcache) return calib::ib_reg_cost(len);
+  if (!use_rcache_) return calib::ib_reg_cost(len);
   const std::size_t hits_before = rcache_.hits();
   const Time cost = rcache_.acquire(reinterpret_cast<std::uintptr_t>(buf), len);
   if (obs::Recorder* rec = eng().recorder()) {
@@ -26,7 +28,7 @@ Time MvapichTransport::acquire_registration(const void* buf, std::size_t len) {
 }
 
 void MvapichTransport::net_send(BaseRequest* req, const void* buf, std::size_t len) {
-  if (len <= cfg_.eager_threshold) {
+  if (len <= calib::kMvapichEagerThreshold) {
     // Copy through a pre-registered vbuf; completes at local NIC completion.
     BasePkt pkt;
     pkt.kind = BasePkt::Kind::Eager;

@@ -26,24 +26,9 @@ enum class OmpiVariant { BtlIb, BtlMx, CmMx };
 
 class OmpiTransport final : public BaseTransport {
  public:
-  struct Config {
-    OmpiVariant variant = OmpiVariant::BtlIb;
-    std::size_t eager_threshold = calib::kOmpiEagerThreshold;
-    std::size_t send_protocol_max = 256_KiB;  ///< copy protocol up to here
-    std::size_t medium_frag = 32_KiB;
-    std::size_t large_frag = calib::kOmpiPipelineFrag;
-    Time per_frag_overhead = calib::kOmpiPerFragOverhead;
-    Time pipeline_stall = 15.0_us;  ///< descriptor turnaround between frags
-    /// Registration of fragment i+1 overlaps fragment i's transfer; only a
-    /// short descriptor-post cost stays on the critical path.
-    Time pipeline_post = 2.0_us;
-    double dilation = 1.09;         ///< compute-time multiplier (see header)
-  };
+  OmpiTransport(Env env, OmpiVariant variant);
 
-  explicit OmpiTransport(Env env);
-  OmpiTransport(Env env, Config cfg);
-
-  double compute_dilation() const override { return cfg_.dilation; }
+  double compute_dilation() const override { return kDilation; }
 
  protected:
   void net_send(BaseRequest* req, const void* buf, std::size_t len) override;
@@ -56,12 +41,15 @@ class OmpiTransport final : public BaseTransport {
     const std::byte* buf = nullptr;
     std::size_t offset = 0;
   };
+  static constexpr double kDilation = 1.09;  ///< compute-time multiplier (file comment)
+
   static Time sw_send_for(OmpiVariant v);
   static Time sw_recv_for(OmpiVariant v);
+  static std::size_t eager_threshold_for(OmpiVariant v);
   bool needs_reg() const;
   void send_next_large_frag(std::uint64_t xid);
 
-  Config cfg_;
+  OmpiVariant variant_;
   std::uint64_t next_xid_ = 1;
   std::map<std::uint64_t, OutRdv> rdv_out_;
 };

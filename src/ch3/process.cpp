@@ -11,6 +11,11 @@ constexpr int kLegacyCtlContext = 0x7ffffff0;
 constexpr int kLegacyDataContext = 0x7ffffff1;
 // Loopback (self) delivery latency: a queue push and pop in one process.
 constexpr Time kSelfLatency = 0.1_us;
+// Intra-node CH3 eager/rendezvous switch (Nemesis LMT).
+constexpr std::size_t kShmRdvThreshold = 64_KiB;
+// Legacy mode: netmod cell payload and the CH3 eager/rdv switch for the
+// network path (single-cell eager keeps the cells fixed-size).
+constexpr std::size_t kLegacyCellPayload = 32000;
 
 std::vector<std::byte> serialize_ctl(const ShmHdr& hdr, const void* payload, std::size_t len) {
   std::vector<std::byte> buf(sizeof(ShmHdr) + len);
@@ -445,7 +450,7 @@ void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
   hdr.len = len;
   hdr.span = req->span;
   const auto* bytes = static_cast<const std::byte*>(buf);
-  if (len <= cfg_.shm_rdv_threshold) {
+  if (len <= kShmRdvThreshold) {
     hdr.kind = ShmHdr::Kind::Eager;
     nemesis::Message m;
     m.src_local = local_index_;
@@ -565,7 +570,7 @@ void Ch3Process::send_legacy(MpidRequest* req, const void* buf, std::size_t len)
   hdr.context = req->context;
   hdr.len = len;
   hdr.span = req->span;
-  if (len <= cfg_.legacy_cell_payload) {
+  if (len <= kLegacyCellPayload) {
     hdr.kind = ShmHdr::Kind::Eager;
     auto cell = serialize_ctl(hdr, buf, len);
     nm_isend(req->peer, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
@@ -597,7 +602,7 @@ void Ch3Process::legacy_fetch_ctl(const nmad::ProbeInfo& info) {
   // Dequeue the cell: receive it into a bounce buffer, then parse. The
   // extra copy is the §2.1.3 "unnecessary copies in and from the queue
   // cells" penalty of the non-bypassed design.
-  auto cell = std::make_shared<std::vector<std::byte>>(sizeof(ShmHdr) + cfg_.legacy_cell_payload);
+  auto cell = std::make_shared<std::vector<std::byte>>(sizeof(ShmHdr) + kLegacyCellPayload);
   const int src = info.src;
   nm_irecv(src, info.tag, cell->data(), cell->size(),
            [this, cell, src](nmad::Request& nr) {

@@ -44,11 +44,6 @@ class Ch3Process final : public mpi::Transport {
     bool pioman = false;
     /// CH3 -> NewMadeleine direct path (the paper's modification).
     bool bypass = true;
-    /// Intra-node CH3 eager/rendezvous switch (Nemesis LMT).
-    std::size_t shm_rdv_threshold = 64_KiB;
-    /// Legacy mode: netmod cell payload and the CH3 eager/rdv switch for the
-    /// network path (single-cell eager keeps the cells fixed-size).
-    std::size_t legacy_cell_payload = 32000;
   };
 
   /// `shm` may be null when the process is alone on its node.

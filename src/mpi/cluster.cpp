@@ -61,7 +61,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         c.nmad.rdv_quantum = cfg_.rdv_quantum;
         c.nmad.advertise_rdv_load = cfg_.two_ended_rdv;
         c.nmad.rdv_retry_timeout = cfg_.rdv_retry_timeout;
-        c.nmad.beta_relearn = cfg_.beta_relearn;
         c.nmad.fault_plan = fault_plan_.get();
         c.nmad.rails.clear();
         if (auto rr = cfg_.rank_rails.find(p); rr != cfg_.rank_rails.end()) {
@@ -76,21 +75,20 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         break;
       }
       case StackKind::Mvapich2: {
-        baseline::MvapichTransport::Config c;
-        c.use_rcache = cfg_.mvapich_rcache;
         baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
-        transports_.push_back(std::make_unique<baseline::MvapichTransport>(env, c));
+        transports_.push_back(
+            std::make_unique<baseline::MvapichTransport>(env, cfg_.mvapich_rcache));
         break;
       }
       case StackKind::OpenMpiBtlIb:
       case StackKind::OpenMpiBtlMx:
       case StackKind::OpenMpiCmMx: {
-        baseline::OmpiTransport::Config c;
-        c.variant = cfg_.stack == StackKind::OpenMpiBtlIb  ? baseline::OmpiVariant::BtlIb
-                    : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
-                                                             : baseline::OmpiVariant::CmMx;
+        const baseline::OmpiVariant v =
+            cfg_.stack == StackKind::OpenMpiBtlIb   ? baseline::OmpiVariant::BtlIb
+            : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
+                                                     : baseline::OmpiVariant::CmMx;
         baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
-        transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, c));
+        transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, v));
         break;
       }
     }

@@ -74,10 +74,6 @@ struct ClusterConfig {
   /// CTS-timeout RTS retransmission (0 = off, the default — see
   /// nmad::Config::rdv_retry_timeout).
   Time rdv_retry_timeout = 0;
-  /// Feed measured egress occupancy back into the bandwidth model (silent
-  /// degradation recovery). On by default; exact-model healthy runs are
-  /// unaffected because the observed beta equals the fitted one.
-  bool beta_relearn = true;
 };
 
 class Cluster {

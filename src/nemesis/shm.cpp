@@ -7,6 +7,15 @@
 
 namespace nmx::nemesis {
 
+namespace {
+/// Wire size of the serialized header the first cell of a message carries.
+constexpr std::size_t kHeaderBytes = 64;
+
+Time copy_time(std::size_t bytes) {
+  return static_cast<double>(bytes) / calib::kShmCopyBandwidth;
+}
+}  // namespace
+
 ShmNode::ShmNode(sim::Engine& eng, int num_local_procs, ShmConfig cfg)
     : eng_(eng),
       cfg_(cfg),
@@ -78,10 +87,10 @@ void ShmNode::pump(int src_local) {
       // receiver after the queue latency plus its copy-out cost. Arrivals
       // are clamped monotonic per sender: enqueue order is program order,
       // even when a small cell follows a large one.
-      const std::size_t wire_bytes = frag + (cell.first ? cfg_.header_bytes : 0);
+      const std::size_t wire_bytes = frag + (cell.first ? kHeaderBytes : 0);
       const net::Channel::Grant g = ps.cpu.reserve(eng_.now(), copy_time(wire_bytes));
       const Time arrival =
-          std::max(g.end + cfg_.latency + copy_time(wire_bytes), ps.last_arrival);
+          std::max(g.end + calib::kShmLatency + copy_time(wire_bytes), ps.last_arrival);
       ps.last_arrival = arrival;
       ++cells_in_flight_;
       if (obs::Recorder* rec = eng_.recorder()) {

@@ -46,9 +46,6 @@ struct Message {
 struct ShmConfig {
   std::size_t cells_per_proc = 64;
   std::size_t cell_payload = calib::kNemesisCellPayload;
-  std::size_t header_bytes = 64;  ///< wire size of the serialized header
-  Time latency = calib::kShmLatency;
-  Bandwidth copy_bandwidth = calib::kShmCopyBandwidth;
 };
 
 /// The shared-memory region and queue state of one node.
@@ -123,9 +120,6 @@ class ShmNode {
   };
 
   void pump(int src_local);
-  Time copy_time(std::size_t bytes) const {
-    return static_cast<double>(bytes) / cfg_.copy_bandwidth;
-  }
 
   sim::Engine& eng_;
   ShmConfig cfg_;

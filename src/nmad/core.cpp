@@ -30,6 +30,11 @@ constexpr Time kNicCollProc = 0.2e-6;
 /// NIC-internal loopback between co-located processes sharing the node's
 /// NICs: no wire, no egress occupancy, just a doorbell across the bus.
 constexpr Time kNicCollLoopback = 0.3e-6;
+/// Give up retransmitting an RTS (but keep waiting) after this many retries,
+/// so a receiver that simply has not posted its receive yet is not hammered
+/// forever. The request stays pending; a genuinely lost handshake then
+/// surfaces as a deadlock/test timeout, not an infinite retry loop.
+constexpr std::uint32_t kRdvRetryLimit = 10;
 }  // namespace
 
 Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
@@ -43,8 +48,6 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int m
       sampling_(fabric, cfg.rails) {
   NMX_ASSERT(!cfg_.rails.empty());
   StrategyOptions opts;
-  opts.max_aggregate = cfg_.max_aggregate;
-  opts.min_split_chunk = cfg_.min_split_chunk;
   opts.rdv_quantum = cfg_.rdv_quantum;
   opts.adaptive_split = cfg_.adaptive_split;
   strategy_ = make_strategy(cfg_.strategy, sampling_, opts);
@@ -123,7 +126,7 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
   e.tag = tag;
   e.seq = seq;
   e.span = span;
-  if (len <= cfg_.rdv_threshold) {
+  if (len <= calib::kNmadRdvThreshold) {
     e.kind = Entry::Kind::Eager;
     const auto* p = static_cast<const std::byte*>(buf);
     e.bytes.assign(p, p + len);
@@ -361,7 +364,9 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
     // bandwidth model: silent rail degradation surfaces as a lower implied
     // beta, and the sampling layer re-learns it from this prediction error
     // instead of letting the stale probe poison every future split.
-    if (cfg_.beta_relearn && sampling_.observe_egress(local_rail, bytes, egress - queued_from)) {
+    // Exact-model runs observe beta exactly, so this is a no-op on a healthy
+    // fabric.
+    if (sampling_.observe_egress(local_rail, bytes, egress - queued_from)) {
       if (obs::Recorder* rec = eng_.recorder()) {
         rec->metrics()
             .counter("nmad.sched.beta_relearned", "rail=" + std::to_string(local_rail))
@@ -426,7 +431,7 @@ void Core::rts_retry(Request* req) {
   req->retry_timer = 0;
   if (req->cts_seen || req->completed) return;  // grant arrived; timer raced it
   obs::Recorder* rec = eng_.recorder();
-  if (req->rts_retries >= static_cast<std::uint32_t>(cfg_.rdv_retry_limit)) {
+  if (req->rts_retries >= kRdvRetryLimit) {
     // Out of retries: stop retransmitting but keep waiting. A CTS is only
     // ever sent once the receive is posted, so a slow consumer looks exactly
     // like a lost handshake from here — giving up would turn every slow

@@ -76,8 +76,6 @@ class QueuedStrategy : public Strategy {
     }
     cursor = pick->first.second + 1;  // resume after this destination
     if (q.empty()) queues_.erase(pick);
-    ++packets_built_;
-    entries_sent_ += wm.entries.size();
     return wm;
   }
 
@@ -372,8 +370,6 @@ class StratCostModel final : public QueuedStrategy {
       wm.src_proc = src_proc;
       wm.dst_proc = e.dst_proc;
       wm.entries.push_back(std::move(e));
-      ++packets_built_;
-      ++entries_sent_;
       return wm;
     }
     return std::nullopt;

@@ -100,9 +100,6 @@ class Strategy {
   /// because the cost model predicted an earlier completion there.
   virtual std::uint64_t steals(int /*rail*/) const { return 0; }
 
-  std::size_t packets_built() const { return packets_built_; }
-  std::size_t entries_sent() const { return entries_sent_; }
-
  protected:
   /// Snapshot from the installed probe, padded/clamped to `num_rails` so
   /// strategies can index it unconditionally (no probe => all rails idle).
@@ -112,9 +109,6 @@ class Strategy {
     l.busy_until.resize(num_rails, l.now);
     return l;
   }
-
-  std::size_t packets_built_ = 0;
-  std::size_t entries_sent_ = 0;
 
  private:
   LoadProbe probe_;

@@ -124,8 +124,7 @@ void Actor::wake() {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine(const EngineConfig& cfg)
-    : stacks_(resolve_fiber_stack_bytes(cfg.fiber_stack_kb)) {}
+Engine::Engine() : stacks_(resolve_fiber_stack_bytes()) {}
 
 Engine::~Engine() {
   // Stop actors before destroying the event storage they may reference.

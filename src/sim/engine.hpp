@@ -81,17 +81,6 @@ class DeadlockError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Engine construction knobs. Default-constructed gives the standard setup.
-struct EngineConfig {
-  /// Per-actor fiber stack size in KiB. 0 means: use the NMX_FIBER_STACK_KB
-  /// environment variable if set, else the built-in default (256 KiB; 1 MiB
-  /// under ASan/TSan). The environment variable, when set, wins over this
-  /// field too — it is the operator's override of last resort. Every stack
-  /// ends in a guard page, so an overflowing actor faults loudly instead of
-  /// corrupting its neighbor.
-  std::size_t fiber_stack_kb = 0;
-};
-
 /// A simulated thread of execution. Created via Engine::spawn; the body runs
 /// on a stackful fiber that executes only while the actor holds the baton.
 class Actor {
@@ -165,8 +154,10 @@ class Actor {
 /// The event-driven heart of the simulator.
 class Engine {
  public:
-  Engine() : Engine(EngineConfig{}) {}
-  explicit Engine(const EngineConfig& cfg);
+  /// Each actor's fiber stack is sized by the NMX_FIBER_STACK_KB environment
+  /// variable (see resolve_fiber_stack_bytes) and ends in a guard page, so an
+  /// overflowing actor faults loudly instead of corrupting its neighbor.
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -268,7 +259,7 @@ class Engine {
 
   // --- fiber accounting ----------------------------------------------------
 
-  /// Usable bytes of one actor fiber stack (resolved from EngineConfig /
+  /// Usable bytes of one actor fiber stack (resolved from
   /// NMX_FIBER_STACK_KB at construction; page-rounded).
   std::size_t fiber_stack_bytes() const { return stacks_.stack_bytes(); }
   /// Fiber stacks ever mmap'd — the high-water mark of concurrently live
@@ -284,9 +275,6 @@ class Engine {
   /// simulation. Cluster owns one when ClusterConfig::trace is set.
   void set_recorder(obs::Recorder* r) { recorder_ = r; }
   obs::Recorder* recorder() { return recorder_; }
-  /// Actor currently holding the baton, or nullptr when an event callback
-  /// (engine context) is running.
-  Actor* current_actor() { return current_; }
 
  private:
   friend class Actor;

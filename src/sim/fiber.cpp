@@ -4,10 +4,15 @@
 #include <unistd.h>
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 // ---------------------------------------------------------------------------
 // Sanitizer fiber protocol.
@@ -305,21 +310,24 @@ void fiber_release(FiberContext& ctx, const FiberStack& stack) {
   ctx = FiberContext{};
 }
 
-std::size_t resolve_fiber_stack_bytes(std::size_t config_kb) {
-  std::size_t kb = config_kb;
-  if (const char* env = std::getenv("NMX_FIBER_STACK_KB"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      kb = static_cast<std::size_t>(v);  // explicit operator override wins
-    }
-  }
-  if (kb == 0) {
+std::size_t resolve_fiber_stack_bytes() {
 #if defined(NMX_FIBER_ASAN) || defined(NMX_FIBER_TSAN)
-    kb = 1024;  // redzones + shadow frames roughly quadruple stack use
+  std::size_t kb = 1024;  // redzones + shadow frames roughly quadruple stack use
 #else
-    kb = 256;
+  std::size_t kb = 256;
 #endif
+  if (const char* env = std::getenv("NMX_FIBER_STACK_KB"); env != nullptr && *env != '\0') {
+    // from_chars takes digits only: no sign, no blanks, no unit suffix. The
+    // upper bound keeps the byte count and its page rounding from wrapping.
+    const std::string_view text(env);
+    std::size_t v = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || end != text.data() + text.size() || v == 0 ||
+        v > std::numeric_limits<std::size_t>::max() / 2048) {
+      throw std::invalid_argument("NMX_FIBER_STACK_KB=\"" + std::string(text) +
+                                  "\": expected a positive decimal integer (KiB)");
+    }
+    kb = v;
   }
   if (kb < 64) {
     kb = 64;  // below this even spawn bookkeeping would hit the guard

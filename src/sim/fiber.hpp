@@ -83,12 +83,13 @@ void fiber_on_entry(FiberContext& self, FiberContext& peer);
 /// recycling its stack). Must be called from a different context.
 void fiber_release(FiberContext& ctx, const FiberStack& stack);
 
-/// Resolve the per-fiber stack size in bytes: `config_kb` KiB when nonzero,
-/// else the NMX_FIBER_STACK_KB environment override, else a built-in
+/// Resolve the per-fiber stack size in bytes: the NMX_FIBER_STACK_KB
+/// environment variable (KiB) when set and non-empty, else a built-in
 /// default (256 KiB; 1 MiB under ASan/TSan, whose redzones and shadow
 /// frames inflate stack use). Clamped to at least 64 KiB and rounded up to
-/// the page size.
-std::size_t resolve_fiber_stack_bytes(std::size_t config_kb);
+/// the page size. Throws std::invalid_argument naming the variable and its
+/// value when it is set to anything but a positive decimal integer.
+std::size_t resolve_fiber_stack_bytes();
 
 /// Free-list pool of equally sized fiber stacks. Stacks are mmap'd with a
 /// one-page guard and recycled on release; everything is unmapped when the

@@ -25,6 +25,9 @@ TEST_P(ThresholdEdge, BytesSurviveTheProtocolSwitch) {
   cfg.nodes = 2;
   cfg.procs = 4;  // exercises the shm path boundaries too
   cfg.stack = stack;
+  if (stack == mpi::StackKind::OpenMpiBtlMx || stack == mpi::StackKind::OpenMpiCmMx) {
+    cfg.rails = {net::mx_profile()};
+  }
   mpi::Cluster cluster(cfg);
   std::vector<std::byte> msg(std::max<std::size_t>(size, 1));
   for (std::size_t i = 0; i < size; ++i) msg[i] = static_cast<std::byte>((i * 131) & 0xff);
@@ -42,7 +45,8 @@ TEST_P(ThresholdEdge, BytesSurviveTheProtocolSwitch) {
 std::vector<std::tuple<mpi::StackKind, std::size_t>> edge_cases() {
   // Every protocol boundary in the system, plus-or-minus one byte:
   // nmad rdv 64K, CH3 shm rdv 64K, Nemesis cell 8K, MVAPICH eager 8K,
-  // OMPI eager 12K / send-protocol max 256K / frag sizes 32K & 128K.
+  // OMPI eager 12K / send-protocol max 256K / frag sizes 32K & 128K,
+  // CM-MX eager 32K (the MX stacks run on an MX rail).
   std::vector<std::size_t> sizes;
   for (std::size_t base : {std::size_t{8} << 10, std::size_t{12} << 10, std::size_t{32} << 10,
                            std::size_t{64} << 10, std::size_t{128} << 10, std::size_t{256} << 10}) {
@@ -53,7 +57,8 @@ std::vector<std::tuple<mpi::StackKind, std::size_t>> edge_cases() {
   sizes.push_back(0);
   std::vector<std::tuple<mpi::StackKind, std::size_t>> cases;
   for (auto stack : {mpi::StackKind::Mpich2Nmad, mpi::StackKind::Mvapich2,
-                     mpi::StackKind::OpenMpiBtlIb}) {
+                     mpi::StackKind::OpenMpiBtlIb, mpi::StackKind::OpenMpiBtlMx,
+                     mpi::StackKind::OpenMpiCmMx}) {
     for (std::size_t s : sizes) cases.emplace_back(stack, s);
   }
   return cases;

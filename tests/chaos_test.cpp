@@ -212,7 +212,8 @@ Scenario silent_degradation(std::uint64_t seed) {
   s.cfg.faults.seed = seed;
   // Rail 0 silently loses 70% of its bandwidth from the start: probes keep
   // reporting the healthy profile, so only the egress-occupancy feedback
-  // (beta_relearn, on by default) can pull the split back toward reality.
+  // (Sampling::observe_egress, always on) can pull the split back toward
+  // reality.
   s.cfg.faults.degrade.push_back({0.0, /*rail=*/0, /*beta_factor=*/0.3});
   s.rounds = 8;
   s.msg = 2_MiB;

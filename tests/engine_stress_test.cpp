@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -304,25 +305,29 @@ TEST(EngineAtScale, ThousandActorWavesReusePooledStacks) {
 // Fiber stack sizing and the guard page
 // ---------------------------------------------------------------------------
 
-TEST(FiberStackConfig, ConfigEnvOverrideAndFloorResolveAsDocumented) {
-  ::unsetenv("NMX_FIBER_STACK_KB");
-  {
-    sim::EngineConfig cfg;
-    cfg.fiber_stack_kb = 128;
-    Engine eng(cfg);
-    EXPECT_EQ(eng.fiber_stack_bytes(), 128u * 1024u);
-  }
+TEST(FiberStackConfig, EnvOverrideFloorAndMalformedValuesResolveAsDocumented) {
   {
     ::setenv("NMX_FIBER_STACK_KB", "512", 1);
-    sim::EngineConfig cfg;
-    cfg.fiber_stack_kb = 128;
-    Engine eng(cfg);  // the operator's env override outranks the config
+    Engine eng;
     EXPECT_EQ(eng.fiber_stack_bytes(), 512u * 1024u);
   }
   {
     ::setenv("NMX_FIBER_STACK_KB", "1", 1);  // below the 64 KiB floor
     Engine eng;
     EXPECT_EQ(eng.fiber_stack_bytes(), 64u * 1024u);
+  }
+  // A mistyped value is an error naming the variable and the value, never a
+  // silent fall-back to the default.
+  for (const char* bad : {"512k", "abc", "0"}) {
+    ::setenv("NMX_FIBER_STACK_KB", bad, 1);
+    try {
+      Engine eng;
+      ADD_FAILURE() << "NMX_FIBER_STACK_KB=" << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("NMX_FIBER_STACK_KB"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos) << what;
+    }
   }
   ::unsetenv("NMX_FIBER_STACK_KB");
 }
@@ -346,16 +351,15 @@ TEST(FiberStackGuardDeathTest, OverflowFaultsLoudlyInsteadOfCorruptingANeighbor)
   // mapping sits below the stack — typically another actor's pooled stack —
   // and the simulation would continue on corrupted state.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ::unsetenv("NMX_FIBER_STACK_KB");
-  sim::EngineConfig cfg;
-  cfg.fiber_stack_kb = 64;
+  ::setenv("NMX_FIBER_STACK_KB", "64", 1);
   EXPECT_DEATH(
       {
-        Engine eng(cfg);
+        Engine eng;
         eng.spawn("overflow", [](sim::Actor&) { overflow::recurse(1 << 20); });
         eng.run();
       },
       "");
+  ::unsetenv("NMX_FIBER_STACK_KB");
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Gate bench results against checked-in baselines.
 
-Engine-throughput gate (positional args). Fails (exit 1) when:
+Series gate (positional args). Fails (exit 1) when:
   * any (bench, ranks) series present in both files lost more than the
-    allowed fraction of events/sec (--max-loss, default 0.25), or
+    allowed fraction (--max-loss, default 0.25): a row that carries `us`
+    (virtual microseconds, lower is better) fails when cur/base - 1 exceeds
+    it; any other row is gated on `events_per_s` (higher is better) and
+    fails when 1 - cur/base exceeds it, or
   * any series grew its peak RSS by more than the allowed fraction
     (--max-rss-gain, default 0.5), or
   * a baseline series is missing from the current run. A silently dropped
@@ -64,17 +67,24 @@ def check_engine(cur_path, base_path, max_loss, max_rss_gain):
         if key not in baseline:
             print(f"  {name}: new bench, no baseline yet")
             continue
-        cur = current[key]["events_per_s"]
-        base = baseline[key]["events_per_s"]
-        loss = 1.0 - cur / base
+        if "us" in baseline[key]:
+            cur = current[key]["us"]
+            base = baseline[key]["us"]
+            loss = cur / base - 1.0
+            shown = f"{cur:,.6g} vs baseline {base:,.6g} us ({loss:+.1%})"
+        else:
+            cur = current[key]["events_per_s"]
+            base = baseline[key]["events_per_s"]
+            loss = 1.0 - cur / base
+            shown = (f"{cur:,.0f} vs baseline {base:,.0f} events/s "
+                     f"({-loss:+.1%})")
         verdict = "OK"
         if loss > max_loss:
             verdict = f"FAIL (>{max_loss:.0%} regression)"
             failed = True
         elif loss < -0.10:
             verdict = "OK (faster — consider refreshing the baseline)"
-        print(f"  {name}: {cur:,.0f} vs baseline {base:,.0f} events/s "
-              f"({-loss:+.1%}) {verdict}")
+        print(f"  {name}: {shown} {verdict}")
 
         cur_rss = current[key].get("rss_mb")
         base_rss = baseline[key].get("rss_mb")
