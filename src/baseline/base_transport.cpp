@@ -1,5 +1,6 @@
 #include "baseline/base_transport.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -7,12 +8,6 @@ namespace nmx::baseline {
 
 namespace {
 constexpr Time kSelfLatency = 0.1_us;
-
-struct BaseShmHdr {
-  int src_rank = -1;
-  int tag = 0;
-  int context = 0;
-};
 }  // namespace
 
 BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra)
@@ -56,35 +51,31 @@ void BaseTransport::release(mpi::TxRequest* r) {
 // ---------------------------------------------------------------------------
 
 BaseRequest* BaseTransport::match_posted(int src, int tag, int context) {
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    BaseRequest* r = *it;
-    if (r->context != context) continue;
-    if (r->peer != mpi::ANY_SOURCE && r->peer != src) continue;
-    if (r->tag != mpi::ANY_TAG && r->tag != tag) continue;
-    posted_.erase(it);
-    return r;
-  }
-  return nullptr;
+  auto it = std::find_if(posted_.begin(), posted_.end(), [&](const BaseRequest* r) {
+    return mpi::envelope_matches(r->peer, r->tag, r->context, src, tag, context);
+  });
+  if (it == posted_.end()) return nullptr;
+  BaseRequest* r = *it;
+  posted_.erase(it);
+  return r;
 }
 
 bool BaseTransport::match_unexpected(BaseRequest* req) {
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (it->context != req->context) continue;
-    if (req->peer != mpi::ANY_SOURCE && req->peer != it->src) continue;
-    if (req->tag != mpi::ANY_TAG && req->tag != it->tag) continue;
-    UnexMsg msg = std::move(*it);
-    unexpected_.erase(it);
-    if (msg.rdv) {
-      grant_rdv(req, msg.rts);
-    } else {
-      NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
-      if (!msg.payload.empty()) std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
-      complete_recv_after(req, msg.src, msg.tag, msg.payload.size(),
-                          calib::copy_cost(msg.payload.size()));
-    }
-    return true;
+  auto it = std::find_if(unexpected_.begin(), unexpected_.end(), [req](const UnexMsg& m) {
+    return mpi::envelope_matches(req->peer, req->tag, req->context, m.src, m.tag, m.context);
+  });
+  if (it == unexpected_.end()) return false;
+  UnexMsg msg = std::move(*it);
+  unexpected_.erase(it);
+  if (msg.rdv) {
+    grant_rdv(req, msg.rts);
+  } else {
+    NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
+    if (!msg.payload.empty()) std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
+    complete_recv_after(req, msg.src, msg.tag, msg.payload.size(),
+                        calib::copy_cost(msg.payload.size()));
   }
-  return false;
+  return true;
 }
 
 void BaseTransport::deliver_eager(int src, int tag, int context,
@@ -179,8 +170,8 @@ void BaseTransport::inject(PendingTx tx) {
   const int dst = tx.dst;
   // Wrap the packet now rather than inside the closure: capturing the raw
   // BasePkt (64 bytes) next to the on_egress std::function would spill the
-  // event slot's inline closure storage; the WirePacket's std::any wrapper
-  // is half the size and the NIC only reads it at g.end anyway.
+  // event slot's inline closure storage; the WirePacket's type-erased
+  // payload is half the size and the NIC only reads it at g.end anyway.
   net::WirePacket wp;
   wp.src_node = my_node_;
   wp.dst_node = fabric_->topology().node_of(dst);
@@ -244,9 +235,7 @@ std::optional<mpi::Status> BaseTransport::iprobe(int src, int tag, int context) 
   enter_progress();
   leave_progress();
   for (const UnexMsg& m : unexpected_) {
-    if (m.context != context) continue;
-    if (src != mpi::ANY_SOURCE && src != m.src) continue;
-    if (tag != mpi::ANY_TAG && tag != m.tag) continue;
+    if (!mpi::envelope_matches(src, tag, context, m.src, m.tag, m.context)) continue;
     mpi::Status st;
     st.source = m.src;
     st.tag = m.tag;
@@ -284,13 +273,11 @@ void BaseTransport::send_self(BaseRequest* req, const void* buf, std::size_t len
 
 void BaseTransport::send_shm(BaseRequest* req, const void* buf, std::size_t len) {
   NMX_ASSERT_MSG(shm_ != nullptr, "same-node send without a shared-memory region");
-  BaseShmHdr hdr;
-  hdr.src_rank = rank_;
-  hdr.tag = req->tag;
-  hdr.context = req->context;
   nemesis::Message m;
   m.src_local = local_index_;
-  m.header = hdr;
+  m.header.src_rank = rank_;
+  m.header.tag = req->tag;
+  m.header.context = req->context;
   const auto* bytes = static_cast<const std::byte*>(buf);
   m.payload.assign(bytes, bytes + len);
   shm_->send(fabric_->topology().local_index(req->peer), std::move(m));
@@ -298,7 +285,7 @@ void BaseTransport::send_shm(BaseRequest* req, const void* buf, std::size_t len)
 }
 
 void BaseTransport::handle_shm(nemesis::Message&& m) {
-  const BaseShmHdr hdr = std::any_cast<BaseShmHdr>(m.header);
+  const nemesis::ShmHdr& hdr = m.header;
   if (shm_extra_ > 0) {
     eng_->schedule_in_checked(shm_extra_, [this, hdr, payload = std::move(m.payload)]() mutable {
       deliver_eager(hdr.src_rank, hdr.tag, hdr.context, std::move(payload));

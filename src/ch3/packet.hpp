@@ -1,12 +1,12 @@
-// CH3 packet headers and matching types.
+// CH3 matching types.
 //
 // The CH3 device matches messages on (source, tag, context id). On the
 // NewMadeleine bypass path the (context, tag) pair is packed into one 64-bit
 // NewMadeleine tag so nmad's internal tag matching does the work (§3.1.1);
-// on the Nemesis shared-memory path the header below rides the first cell.
+// on the Nemesis shared-memory path (and the legacy netmod cells) the
+// envelope travels in nemesis::ShmHdr.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "mpi/transport.hpp"
@@ -38,20 +38,5 @@ constexpr nmad::TagSelector context_selector(int context) {
 constexpr nmad::TagSelector selector_for(int context, int tag) {
   return tag == mpi::ANY_TAG ? context_selector(context) : exact_selector(context, tag);
 }
-
-/// Header of a CH3 message on the Nemesis shared-memory channel. The
-/// rendezvous kinds implement the CH3 RTS/CTS/DATA protocol of Figure 2 —
-/// used here only intra-node, because the network path bypasses CH3
-/// protocols entirely (that bypass is the paper's point, §3.1.1).
-struct ShmHdr {
-  enum class Kind : std::uint8_t { Eager, Rts, Cts, Data };
-  Kind kind = Kind::Eager;
-  int src_rank = -1;
-  int tag = 0;
-  int context = 0;
-  std::uint64_t rdv_id = 0;
-  std::size_t len = 0;  ///< full payload size (Rts announces it)
-  std::uint64_t span = 0;  ///< sender's message-lifecycle span (tracing)
-};
 
 }  // namespace nmx::ch3

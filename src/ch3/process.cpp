@@ -1,9 +1,12 @@
 #include "ch3/process.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 namespace nmx::ch3 {
+
+using nemesis::ShmHdr;
 
 namespace {
 // Reserved context ids for the legacy netmod channel (never visible to MPI).
@@ -42,28 +45,6 @@ Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& r
       legacy_on_unexpected(info);
     }
   });
-
-  // §3.1.2: virtual connections with per-destination overridable send paths.
-  const net::Topology& topo = fabric.topology();
-  vcs_.resize(static_cast<std::size_t>(topo.num_procs()));
-  for (int p = 0; p < topo.num_procs(); ++p) {
-    VirtualConnection& vc = vcs_[static_cast<std::size_t>(p)];
-    vc.peer = p;
-    vc.same_node = topo.same_node(rank_, p);
-    if (p == rank_) {
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) { send_self(r, b, l); };
-    } else if (vc.same_node) {
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) { send_shm(r, b, l); };
-    } else if (cfg_.bypass) {
-      // The paper's modification: MPID_Send on a remote VC goes straight to
-      // nm_sr_isend, skipping Nemesis and the CH3 protocols.
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) {
-        send_nmad_direct(r, b, l);
-      };
-    } else {
-      vc.isend_fn = [this](MpidRequest* r, const void* b, std::size_t l) { send_legacy(r, b, l); };
-    }
-  }
 
   if (shm_) {
     shm_->set_deliver(local_index_,
@@ -189,10 +170,7 @@ void Ch3Process::complete_send(MpidRequest* req) {
 
 MpidRequest* Ch3Process::match_posted(int src, int tag, int context) {
   for (MpidRequest* r : posted_queue_) {
-    if (r->context != context) continue;
-    if (r->peer != mpi::ANY_SOURCE && r->peer != src) continue;
-    if (r->tag != mpi::ANY_TAG && r->tag != tag) continue;
-    return r;
+    if (mpi::envelope_matches(r->peer, r->tag, r->context, src, tag, context)) return r;
   }
   return nullptr;
 }
@@ -210,41 +188,17 @@ void Ch3Process::remove_posted(MpidRequest* req) {
 }
 
 bool Ch3Process::match_unexpected(MpidRequest* req) {
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (it->context != req->context) continue;
-    if (req->peer != mpi::ANY_SOURCE && req->peer != it->src) continue;
-    if (req->tag != mpi::ANY_TAG && req->tag != it->tag) continue;
-    UnexMsg msg = std::move(*it);
-    unexpected_.erase(it);
-    if (obs::Recorder* rec = eng_.recorder()) {
-      rec->metrics().gauge("ch3.unexpected.depth").set(static_cast<double>(unexpected_.size()));
-    }
-    if (msg.kind == UnexMsg::Kind::Eager) {
-      NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
-      if (!msg.payload.empty()) {
-        std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
-      }
-      complete_recv(req, msg.src, msg.tag, msg.payload.size(), msg.span);
-    } else if (msg.origin == UnexMsg::Origin::Shm) {
-      NMX_ASSERT(msg.len <= req->len);
-      shm_rdv_in_.emplace(std::make_pair(msg.src, msg.rdv_id), req);
-      ShmHdr cts;
-      cts.kind = ShmHdr::Kind::Cts;
-      cts.src_rank = rank_;
-      cts.tag = msg.tag;
-      cts.context = msg.context;
-      cts.rdv_id = msg.rdv_id;
-      nemesis::Message m;
-      m.src_local = local_index_;
-      m.header = cts;
-      shm_->send(fabric_.topology().local_index(msg.src), std::move(m));
-    } else {
-      NMX_ASSERT(msg.origin == UnexMsg::Origin::LegacyNet);
-      legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
-    }
-    return true;
+  auto it = std::find_if(unexpected_.begin(), unexpected_.end(), [req](const UnexMsg& m) {
+    return mpi::envelope_matches(req->peer, req->tag, req->context, m.src, m.tag, m.context);
+  });
+  if (it == unexpected_.end()) return false;
+  UnexMsg msg = std::move(*it);
+  unexpected_.erase(it);
+  if (obs::Recorder* rec = eng_.recorder()) {
+    rec->metrics().gauge("ch3.unexpected.depth").set(static_cast<double>(unexpected_.size()));
   }
-  return false;
+  accept(req, std::move(msg));
+  return true;
 }
 
 void Ch3Process::deliver_local(UnexMsg msg) {
@@ -265,26 +219,41 @@ void Ch3Process::deliver_local(UnexMsg msg) {
     // the requests queued behind it.
     as_lists_.resolve(req, [this](MpidRequest* r) { release_deferred(r); });
   }
-  if (msg.kind == UnexMsg::Kind::Eager) {
-    NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
-    if (!msg.payload.empty()) std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
-    complete_recv(req, msg.src, msg.tag, msg.payload.size(), msg.span);
-  } else if (msg.origin == UnexMsg::Origin::Shm) {
-    NMX_ASSERT(msg.len <= req->len);
-    shm_rdv_in_.emplace(std::make_pair(msg.src, msg.rdv_id), req);
-    ShmHdr cts;
-    cts.kind = ShmHdr::Kind::Cts;
-    cts.src_rank = rank_;
-    cts.tag = msg.tag;
-    cts.context = msg.context;
-    cts.rdv_id = msg.rdv_id;
-    nemesis::Message m;
-    m.src_local = local_index_;
-    m.header = cts;
-    shm_->send(fabric_.topology().local_index(msg.src), std::move(m));
-  } else {
-    legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
+  accept(req, std::move(msg));
+}
+
+void Ch3Process::accept(MpidRequest* req, UnexMsg&& msg) {
+  switch (msg.kind) {
+    case UnexMsg::Kind::Eager:
+      NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
+      if (!msg.payload.empty()) std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
+      complete_recv(req, msg.src, msg.tag, msg.payload.size(), msg.span);
+      break;
+    case UnexMsg::Kind::ShmRdv: {
+      NMX_ASSERT(msg.len <= req->len);
+      shm_rdv_in_.emplace(std::make_pair(msg.src, msg.rdv_id), req);
+      nemesis::Message m;
+      m.src_local = local_index_;
+      m.header.kind = ShmHdr::Kind::Cts;
+      m.header.src_rank = rank_;
+      m.header.tag = msg.tag;
+      m.header.context = msg.context;
+      m.header.rdv_id = msg.rdv_id;
+      shm_->send(fabric_.topology().local_index(msg.src), std::move(m));
+      break;
+    }
+    case UnexMsg::Kind::NetRdv:
+      legacy_grant(msg.src, msg.tag, msg.rdv_id, req);
+      break;
   }
+}
+
+Ch3Process::UnexMsg Ch3Process::arrival(const ShmHdr& hdr, UnexMsg::Kind rdv,
+                                        std::vector<std::byte> payload) {
+  NMX_ASSERT(hdr.kind == ShmHdr::Kind::Eager || hdr.kind == ShmHdr::Kind::Rts);
+  return UnexMsg{hdr.kind == ShmHdr::Kind::Eager ? UnexMsg::Kind::Eager : rdv,
+                 hdr.src_rank, hdr.tag, hdr.context, hdr.rdv_id, hdr.len, hdr.span,
+                 std::move(payload)};
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +262,7 @@ void Ch3Process::deliver_local(UnexMsg msg) {
 
 mpi::TxRequest* Ch3Process::isend(int dst, int tag, int context, const void* buf,
                                   std::size_t len) {
-  NMX_ASSERT(dst >= 0 && dst < static_cast<int>(vcs_.size()));
+  NMX_ASSERT(dst >= 0 && dst < fabric_.topology().num_procs());
   NMX_ASSERT(tag >= 0 && context >= 0 && context < kLegacyCtlContext);
   MpidRequest* req = new_request(MpidRequest::Kind::Send);
   req->peer = dst;
@@ -303,7 +272,22 @@ mpi::TxRequest* Ch3Process::isend(int dst, int tag, int context, const void* buf
   if (obs::Recorder* rec = eng_.recorder()) {
     req->span = rec->begin(eng_.now(), rank_, obs::Cat::MsgSend, len, dst);
   }
-  vcs_[static_cast<std::size_t>(dst)].isend_fn(req, buf, len);
+  switch (route(dst)) {
+    case Route::Self:
+      send_self(req, buf, len);
+      break;
+    case Route::Shm:
+      send_shm(req, buf, len);
+      break;
+    case Route::Nmad:
+      // The paper's modification: MPID_Send on a remote VC goes straight to
+      // nm_sr_isend, skipping Nemesis and the CH3 protocols.
+      send_nmad_direct(req, buf, len);
+      break;
+    case Route::Legacy:
+      send_legacy(req, buf, len);
+      break;
+  }
   return req;
 }
 
@@ -318,21 +302,14 @@ mpi::TxRequest* Ch3Process::irecv(int src, int tag, int context, void* buf, std:
     req->span = rec->begin(eng_.now(), rank_, obs::Cat::MsgRecv, len, src);
   }
 
-  if (src == mpi::ANY_SOURCE) {
+  const bool any_source = src == mpi::ANY_SOURCE;
+  if (any_source || route(src) != Route::Nmad) {
     if (match_unexpected(req)) return req;
-    push_posted(req);  // eligible for shared-memory / self matching
-    if (cfg_.bypass) {
+    push_posted(req);  // eligible for self / shared-memory / legacy matching
+    if (any_source && cfg_.bypass) {
       as_lists_.add_any_source(req);
       as_probe_all();  // the message may already sit in nmad's buffers
     }
-    return req;
-  }
-
-  const bool ch3_matched =
-      (src == rank_) || vcs_[static_cast<std::size_t>(src)].same_node || !cfg_.bypass;
-  if (ch3_matched) {
-    if (match_unexpected(req)) return req;
-    push_posted(req);
     return req;
   }
 
@@ -355,6 +332,12 @@ mpi::TxRequest* Ch3Process::irecv(int src, int tag, int context, void* buf, std:
   }
   post_remote_recv(req);
   return req;
+}
+
+Ch3Process::Route Ch3Process::route(int peer) const {
+  if (peer == rank_) return Route::Self;
+  if (fabric_.topology().same_node(rank_, peer)) return Route::Shm;
+  return cfg_.bypass ? Route::Nmad : Route::Legacy;
 }
 
 void Ch3Process::post_remote_recv(MpidRequest* req) {
@@ -425,16 +408,9 @@ void Ch3Process::release(mpi::TxRequest* r) {
 // ---------------------------------------------------------------------------
 
 void Ch3Process::send_self(MpidRequest* req, const void* buf, std::size_t len) {
-  UnexMsg msg;
-  msg.origin = UnexMsg::Origin::Self;
-  msg.kind = UnexMsg::Kind::Eager;
-  msg.src = rank_;
-  msg.tag = req->tag;
-  msg.context = req->context;
-  msg.len = len;
-  msg.span = req->span;
   const auto* bytes = static_cast<const std::byte*>(buf);
-  msg.payload.assign(bytes, bytes + len);
+  UnexMsg msg{UnexMsg::Kind::Eager, rank_, req->tag, req->context, 0, len, req->span,
+              {bytes, bytes + len}};
   eng_.schedule_in_checked(kSelfLatency, [this, msg = std::move(msg)]() mutable {
     deliver_local(std::move(msg));
   });
@@ -443,31 +419,26 @@ void Ch3Process::send_self(MpidRequest* req, const void* buf, std::size_t len) {
 
 void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
   NMX_ASSERT_MSG(shm_ != nullptr, "same-node send without a shared-memory region");
-  ShmHdr hdr;
-  hdr.src_rank = rank_;
-  hdr.tag = req->tag;
-  hdr.context = req->context;
-  hdr.len = len;
-  hdr.span = req->span;
+  nemesis::Message m;
+  m.src_local = local_index_;
+  m.header.src_rank = rank_;
+  m.header.tag = req->tag;
+  m.header.context = req->context;
+  m.header.len = len;
+  m.header.span = req->span;
   const auto* bytes = static_cast<const std::byte*>(buf);
-  if (len <= kShmRdvThreshold) {
-    hdr.kind = ShmHdr::Kind::Eager;
-    nemesis::Message m;
-    m.src_local = local_index_;
-    m.header = hdr;
+  const bool eager = len <= kShmRdvThreshold;
+  if (eager) {
+    m.header.kind = ShmHdr::Kind::Eager;
     m.payload.assign(bytes, bytes + len);
-    shm_->send(fabric_.topology().local_index(req->peer), std::move(m));
-    complete_send(req);  // copied into the message — buffer reusable
   } else {
     // CH3 shared-memory rendezvous (the left half of Figure 2).
-    hdr.kind = ShmHdr::Kind::Rts;
-    hdr.rdv_id = next_shm_rdv_++;
-    shm_rdv_out_.emplace(hdr.rdv_id, ShmRdvOut{req, bytes, len, req->peer});
-    nemesis::Message m;
-    m.src_local = local_index_;
-    m.header = hdr;
-    shm_->send(fabric_.topology().local_index(req->peer), std::move(m));
+    m.header.kind = ShmHdr::Kind::Rts;
+    m.header.rdv_id = next_shm_rdv_++;
+    shm_rdv_out_.emplace(m.header.rdv_id, ShmRdvOut{req, bytes, len, req->peer});
   }
+  shm_->send(fabric_.topology().local_index(req->peer), std::move(m));
+  if (eager) complete_send(req);  // copied into the message — buffer reusable
 }
 
 void Ch3Process::send_nmad_direct(MpidRequest* req, const void* buf, std::size_t len) {
@@ -481,63 +452,38 @@ void Ch3Process::send_nmad_direct(MpidRequest* req, const void* buf, std::size_t
 // ---------------------------------------------------------------------------
 
 void Ch3Process::handle_shm_message(nemesis::Message&& m) {
-  ShmHdr hdr = std::any_cast<ShmHdr>(m.header);
   if (cfg_.pioman) {
     // §4.1.2: the thread-safe progression machinery costs ~450 ns per
     // shared-memory message.
     eng_.schedule_in_checked(calib::kPiomanShmOverhead,
-                     [this, hdr, payload = std::move(m.payload), src = m.src_local]() mutable {
-                       process_shm(hdr, std::move(payload), src);
-                     });
+                             [this, hdr = m.header, payload = std::move(m.payload)]() mutable {
+                               process_shm(hdr, std::move(payload));
+                             });
   } else {
-    process_shm(hdr, std::move(m.payload), m.src_local);
+    process_shm(m.header, std::move(m.payload));
   }
 }
 
-void Ch3Process::process_shm(ShmHdr hdr, std::vector<std::byte> payload, int /*src_local*/) {
+void Ch3Process::process_shm(const ShmHdr& hdr, std::vector<std::byte> payload) {
   switch (hdr.kind) {
-    case ShmHdr::Kind::Eager: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::Shm;
-      msg.kind = UnexMsg::Kind::Eager;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.len = payload.size();
-      msg.span = hdr.span;
-      msg.payload = std::move(payload);
-      deliver_local(std::move(msg));
+    case ShmHdr::Kind::Eager:
+    case ShmHdr::Kind::Rts:
+      deliver_local(arrival(hdr, UnexMsg::Kind::ShmRdv, std::move(payload)));
       break;
-    }
-    case ShmHdr::Kind::Rts: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::Shm;
-      msg.kind = UnexMsg::Kind::Rdv;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.rdv_id = hdr.rdv_id;
-      msg.len = hdr.len;
-      msg.span = hdr.span;
-      deliver_local(std::move(msg));
-      break;
-    }
     case ShmHdr::Kind::Cts: {
       auto it = shm_rdv_out_.find(hdr.rdv_id);
       NMX_ASSERT_MSG(it != shm_rdv_out_.end(), "shm CTS for unknown rendezvous");
       const ShmRdvOut out = it->second;
       shm_rdv_out_.erase(it);
-      ShmHdr data;
-      data.kind = ShmHdr::Kind::Data;
-      data.src_rank = rank_;
-      data.tag = out.req->tag;
-      data.context = out.req->context;
-      data.rdv_id = hdr.rdv_id;
-      data.len = out.len;
-      data.span = out.req->span;
       nemesis::Message m;
       m.src_local = local_index_;
-      m.header = data;
+      m.header.kind = ShmHdr::Kind::Data;
+      m.header.src_rank = rank_;
+      m.header.tag = out.req->tag;
+      m.header.context = out.req->context;
+      m.header.rdv_id = hdr.rdv_id;
+      m.header.len = out.len;
+      m.header.span = out.req->span;
       // The one sender-side copy, made while the send is still incomplete
       // (see ShmRdvOut); from here on the user may reuse the buffer.
       m.payload.assign(out.buf, out.buf + out.len);
@@ -584,11 +530,7 @@ void Ch3Process::send_legacy(MpidRequest* req, const void* buf, std::size_t len)
     hdr.kind = ShmHdr::Kind::Rts;
     hdr.rdv_id = next_net_rdv_++;
     net_rdv_out_.emplace(hdr.rdv_id, std::make_pair(req, buf));
-    auto cell = serialize_ctl(hdr, nullptr, 0);
-    nm_isend(req->peer, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
-             [this](nmad::Request& nr) {
-               eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-             });
+    legacy_send_ctl(req->peer, hdr);
   }
 }
 
@@ -618,35 +560,13 @@ void Ch3Process::legacy_process_ctl(int src, std::vector<std::byte> cell, std::s
   NMX_ASSERT(len >= sizeof(ShmHdr));
   ShmHdr hdr;
   std::memcpy(&hdr, cell.data(), sizeof(ShmHdr));
-  const std::size_t payload_len = len - sizeof(ShmHdr);
   switch (hdr.kind) {
-    case ShmHdr::Kind::Eager: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::LegacyNet;
-      msg.kind = UnexMsg::Kind::Eager;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.len = payload_len;
-      msg.span = hdr.span;
-      msg.payload.assign(cell.begin() + sizeof(ShmHdr),
-                         cell.begin() + static_cast<std::ptrdiff_t>(len));
-      deliver_local(std::move(msg));
+    case ShmHdr::Kind::Eager:
+    case ShmHdr::Kind::Rts:
+      deliver_local(arrival(hdr, UnexMsg::Kind::NetRdv,
+                            {cell.begin() + sizeof(ShmHdr),
+                             cell.begin() + static_cast<std::ptrdiff_t>(len)}));
       break;
-    }
-    case ShmHdr::Kind::Rts: {
-      UnexMsg msg;
-      msg.origin = UnexMsg::Origin::LegacyNet;
-      msg.kind = UnexMsg::Kind::Rdv;
-      msg.src = hdr.src_rank;
-      msg.tag = hdr.tag;
-      msg.context = hdr.context;
-      msg.rdv_id = hdr.rdv_id;
-      msg.len = hdr.len;
-      msg.span = hdr.span;
-      deliver_local(std::move(msg));
-      break;
-    }
     case ShmHdr::Kind::Cts: {
       auto it = net_rdv_out_.find(hdr.rdv_id);
       NMX_ASSERT_MSG(it != net_rdv_out_.end(), "legacy CTS for unknown rendezvous");
@@ -674,11 +594,11 @@ void Ch3Process::legacy_grant(int src, int tag, std::uint64_t rdv_id, MpidReques
   cts.kind = ShmHdr::Kind::Cts;
   cts.src_rank = rank_;
   cts.rdv_id = rdv_id;
-  legacy_send_ctl(src, cts, nullptr, 0);
+  legacy_send_ctl(src, cts);
 }
 
-void Ch3Process::legacy_send_ctl(int dst, ShmHdr hdr, const void* payload, std::size_t len) {
-  auto cell = serialize_ctl(hdr, payload, len);
+void Ch3Process::legacy_send_ctl(int dst, const ShmHdr& hdr) {
+  auto cell = serialize_ctl(hdr, nullptr, 0);
   nm_isend(dst, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
            [this](nmad::Request& nr) {
              eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
@@ -694,9 +614,7 @@ std::optional<mpi::Status> Ch3Process::iprobe(int src, int tag, int context) {
   leave_progress();
   // CH3-matched traffic (shared memory, self, legacy network).
   for (const UnexMsg& m : unexpected_) {
-    if (m.context != context) continue;
-    if (src != mpi::ANY_SOURCE && src != m.src) continue;
-    if (tag != mpi::ANY_TAG && tag != m.tag) continue;
+    if (!mpi::envelope_matches(src, tag, context, m.src, m.tag, m.context)) continue;
     mpi::Status st;
     st.source = m.src;
     st.tag = m.tag;

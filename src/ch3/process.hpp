@@ -4,10 +4,10 @@
 //
 // Two operating modes:
 //
-//  * bypass = true  — the paper's contribution (§3.1): per-VC function
-//    pointers route remote sends straight to nm_sr_isend, remote receives are
-//    posted to NewMadeleine's own matching, and MPI_ANY_SOURCE is handled by
-//    the management lists of Figure 3. One handshake per rendezvous.
+//  * bypass = true  — the paper's contribution (§3.1): remote sends go
+//    straight to nm_sr_isend, remote receives are posted to NewMadeleine's
+//    own matching, and MPI_ANY_SOURCE is handled by the management lists of
+//    Figure 3. One handshake per rendezvous.
 //
 //  * bypass = false — the stock Nemesis network-module path (§2.1.3): every
 //    CH3 packet is copied through fixed-size netmod cells, CH3 runs its own
@@ -15,6 +15,11 @@
 //    NewMadeleine's *internal* rendezvous underneath CH3's — the nested
 //    handshake of Figure 2. Kept as a first-class mode so the benefit of the
 //    bypass is measurable (bench/abl_bypass).
+//
+// The paper overrides a per-VC send function pointer (§3.1.2). The choice
+// that pointer encodes depends only on (peer is self, peer on the same node,
+// bypass), so it is modelled as a route computed per message by route(), not
+// as a per-peer table: the device keeps no state sized by the world.
 #pragma once
 
 #include <cstddef>
@@ -77,17 +82,15 @@ class Ch3Process final : public mpi::Transport {
   std::size_t unexpected_count() const { return unexpected_.size(); }
 
  private:
-  // §3.1.2: per-connection virtual connection with overridable send path.
-  struct VirtualConnection {
-    int peer = -1;
-    bool same_node = false;
-    std::function<void(MpidRequest*, const void*, std::size_t)> isend_fn;
-  };
+  /// §3.1.2: the path traffic to or from a peer takes — the paper's per-VC
+  /// send function pointer, computed instead of stored.
+  enum class Route { Self, Shm, Nmad, Legacy };
 
+  /// A message CH3 itself matches (self, shared memory, legacy netmod):
+  /// an eager payload, or a rendezvous announcement to grant over shared
+  /// memory (CTS cell) or the legacy netmod (legacy_grant).
   struct UnexMsg {
-    enum class Origin { Shm, Self, LegacyNet };
-    enum class Kind { Eager, Rdv };
-    Origin origin = Origin::Shm;
+    enum class Kind { Eager, ShmRdv, NetRdv };
     Kind kind = Kind::Eager;
     int src = -1;
     int tag = 0;
@@ -124,6 +127,8 @@ class Ch3Process final : public mpi::Transport {
   nmad::Request* nm_irecv(int src, nmad::Tag tag, void* buf, std::size_t len,
                           std::function<void(nmad::Request&)> done, obs::SpanId span = 0);
 
+  Route route(int peer) const;
+
   // send paths
   void send_self(MpidRequest* req, const void* buf, std::size_t len);
   void send_shm(MpidRequest* req, const void* buf, std::size_t len);
@@ -142,16 +147,20 @@ class Ch3Process final : public mpi::Transport {
   void remove_posted(MpidRequest* req);
   bool match_unexpected(MpidRequest* req);  // consume an unexpected msg if any
   void deliver_local(UnexMsg msg);          // arrival -> match or store
+  void accept(MpidRequest* req, UnexMsg&& msg);  // a matched message -> its request
+  /// An arriving Eager or Rts header as a queue entry; a Rts becomes `rdv`.
+  static UnexMsg arrival(const nemesis::ShmHdr& hdr, UnexMsg::Kind rdv,
+                         std::vector<std::byte> payload);
 
   // shared-memory channel
   void handle_shm_message(nemesis::Message&& m);
-  void process_shm(ShmHdr hdr, std::vector<std::byte> payload, int src_local);
+  void process_shm(const nemesis::ShmHdr& hdr, std::vector<std::byte> payload);
 
   // legacy netmod (bypass = false)
   void legacy_on_unexpected(const nmad::ProbeInfo& info);
   void legacy_fetch_ctl(const nmad::ProbeInfo& info);
   void legacy_process_ctl(int src, std::vector<std::byte> cell, std::size_t len);
-  void legacy_send_ctl(int dst, ShmHdr hdr, const void* payload, std::size_t len);
+  void legacy_send_ctl(int dst, const nemesis::ShmHdr& hdr);
   void legacy_grant(int src, int tag, std::uint64_t rdv_id, MpidRequest* req);
 
   // completion helpers
@@ -170,7 +179,6 @@ class Ch3Process final : public mpi::Transport {
   Config cfg_;
   std::unique_ptr<nmad::Core> core_;
   std::unique_ptr<pioman::Manager> pioman_;
-  std::vector<VirtualConnection> vcs_;
 
   std::list<MpidRequest> requests_;
   std::list<NmCtx> nm_ctxs_;

@@ -77,7 +77,7 @@ void ShmNode::pump(int src_local) {
       cell.first = !s.started;
       cell.total_bytes = total;
       if (cell.first) {
-        cell.header = std::move(s.msg.header);
+        cell.header = s.msg.header;
         cell.payload = std::move(s.msg.payload);
       }
       s.offset += frag;
@@ -124,7 +124,7 @@ bool ShmNode::poll(int local_proc) {
       NMX_ASSERT_MSG(cell.payload.size() == cell.total_bytes,
                      "first cell must carry the whole payload");
       part.active = true;
-      part.header = std::move(cell.header);
+      part.header = cell.header;
       part.payload = std::move(cell.payload);
       part.received = 0;
     }
@@ -140,7 +140,6 @@ bool ShmNode::poll(int local_proc) {
 
     // Return the cell before delivering: delivery code may trigger sends
     // that need it.
-    cell.header.reset();
     --cells_in_flight_;
     procs_[static_cast<std::size_t>(owner)].free_queue.enqueue(pool_, ci);
     if (procs_[static_cast<std::size_t>(owner)].waiting_for_cell) {
@@ -151,7 +150,7 @@ bool ShmNode::poll(int local_proc) {
     if (part.received == total) {
       Message m;
       m.src_local = src;
-      m.header = std::move(part.header);
+      m.header = part.header;
       m.payload = std::move(part.payload);
       part.active = false;
       NMX_ASSERT_MSG(pd.deliver != nullptr, "no deliver callback registered");

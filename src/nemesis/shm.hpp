@@ -19,8 +19,8 @@
 // large shared-memory transfers, exactly the effect PIOMan exists to fix.
 #pragma once
 
-#include <any>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -33,13 +33,28 @@
 
 namespace nmx::nemesis {
 
-/// One logical message handed to / delivered by the channel. `header` is an
-/// opaque upper-layer struct (CH3 packet header). `payload` moves with the
-/// first cell: the receiver gets the very vector the sender handed in, and
-/// the cells only account for its bytes (fragment sizes, copy time).
+/// Header of a message; it rides the message's first cell. The one header
+/// of every upper layer: CH3 uses it on shared memory and, serialized, on its
+/// legacy netmod cells; the baseline stacks' shm path sends Eager ones. The
+/// rendezvous kinds implement CH3's RTS/CTS/DATA protocol of Figure 2.
+struct ShmHdr {
+  enum class Kind : std::uint8_t { Eager, Rts, Cts, Data };
+  Kind kind = Kind::Eager;
+  int src_rank = -1;
+  int tag = 0;
+  int context = 0;
+  std::uint64_t rdv_id = 0;
+  std::size_t len = 0;     ///< full payload size (Rts announces it)
+  std::uint64_t span = 0;  ///< sender's message-lifecycle span (tracing)
+};
+
+/// One logical message handed to / delivered by the channel. `payload`
+/// moves with the first cell: the receiver gets the very vector the sender
+/// handed in, and the cells only account for its bytes (fragment sizes,
+/// copy time).
 struct Message {
   int src_local = -1;  ///< sender's node-local process index
-  std::any header;
+  ShmHdr header;
   std::vector<std::byte> payload;
 };
 
@@ -87,7 +102,7 @@ class ShmNode {
     int dst_local = -1;
     bool first = false;           ///< first fragment: carries the header
     std::size_t total_bytes = 0;  ///< payload size of the whole message
-    std::any header;              ///< only on first fragment
+    ShmHdr header;                ///< only on first fragment
     std::vector<std::byte> payload;  ///< whole message payload, first fragment only
   };
 
@@ -112,7 +127,7 @@ class ShmNode {
     // Reassembly of the in-flight message from each local sender.
     struct Partial {
       bool active = false;
-      std::any header;
+      ShmHdr header;
       std::vector<std::byte> payload;  ///< from the first cell, full size
       std::size_t received = 0;        ///< bytes accounted by cells so far
     };

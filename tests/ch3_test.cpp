@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "ch3/anysource.hpp"
@@ -374,6 +375,54 @@ TEST(LegacyPath, NestedHandshakeCostsMoreThanBypass) {
   const double bypass = transfer_time(true);
   EXPECT_GT(legacy, bypass * 1.02);  // at least one extra handshake round
 }
+
+// ---------------------------------------------------------------------------
+// Late receives on the CH3 queues (bypass = false). The receiver polls
+// iprobe until the message sits in CH3's unexpected queue, then posts the
+// receive, so the match is made from the unexpected-queue side.
+// ---------------------------------------------------------------------------
+
+class LateReceive : public ::testing::TestWithParam<bool> {
+ protected:
+  /// Rank 0 sends `n` bytes with tag 9 to the last rank, which receives
+  /// them late with (recv_src, recv_tag) and checks bytes and Status.
+  void run(int nodes, int procs, std::size_t n, int recv_src, int recv_tag) {
+    mpi::ClusterConfig cfg = stack_cfg(nodes, procs, /*bypass=*/false);
+    cfg.pioman = GetParam();
+    mpi::Cluster cluster(cfg);
+    const int dst = procs - 1;
+    std::vector<std::byte> msg(n);
+    for (std::size_t i = 0; i < n; ++i) msg[i] = static_cast<std::byte>((i * 11 + 5) & 0xff);
+    cluster.run([&](mpi::Comm& c) {
+      mpi::Request sreq;
+      if (c.rank() == 0) sreq = c.isend(msg.data(), n, dst, 9);
+      if (c.rank() == dst) {
+        std::optional<mpi::Status> probed;
+        while (!(probed = c.iprobe(recv_src, recv_tag))) c.compute(10e-6);
+        EXPECT_EQ(probed->source, 0);
+        EXPECT_EQ(probed->tag, 9);
+        EXPECT_EQ(probed->count, n);
+        std::vector<std::byte> in(n);
+        const mpi::Status st = c.recv(in.data(), n, recv_src, recv_tag);
+        EXPECT_EQ(st.source, 0);
+        EXPECT_EQ(st.tag, 9);
+        EXPECT_EQ(st.count, n);
+        EXPECT_EQ(in, msg);
+      }
+      if (sreq.valid()) c.wait(sreq);
+    });
+  }
+};
+
+TEST_P(LateReceive, LegacyRendezvousWithAnySource) {
+  run(2, 2, 256 * 1024, mpi::ANY_SOURCE, 9);  // CH3 network RTS, granted late
+}
+
+TEST_P(LateReceive, LegacyEagerWithAnyTag) { run(2, 2, 1000, 0, mpi::ANY_TAG); }
+
+TEST_P(LateReceive, SelfSendWithAnySource) { run(1, 1, 1000, mpi::ANY_SOURCE, 9); }
+
+INSTANTIATE_TEST_SUITE_P(Pioman, LateReceive, ::testing::Bool());
 
 }  // namespace
 }  // namespace nmx

@@ -113,6 +113,49 @@ TEST(Pt2Pt, SendrecvExchangesWithoutDeadlockInRing) {
   });
 }
 
+// Intra-node wildcard receive on every stack's shared-memory path: the
+// Status must name the message that matched.
+class IntraNodeWildcard : public ::testing::TestWithParam<mpi::StackKind> {};
+
+TEST_P(IntraNodeWildcard, StatusCarriesSourceTagCount) {
+  mpi::ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.procs = 3;
+  cfg.stack = GetParam();
+  mpi::Cluster cluster(cfg);
+  cluster.run([&](mpi::Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<int> seen(3, 0);
+      for (int i = 0; i < 2; ++i) {
+        std::vector<int> in(64, -1);
+        auto st = c.recv(in.data(), in.size() * sizeof(int), mpi::ANY_SOURCE, mpi::ANY_TAG);
+        ASSERT_TRUE(st.source == 1 || st.source == 2) << st.source;
+        const auto n = static_cast<std::size_t>(8 * st.source);
+        EXPECT_EQ(st.tag, 20 + st.source);
+        EXPECT_EQ(st.count, n * sizeof(int));
+        for (std::size_t k = 0; k < n; ++k) {
+          EXPECT_EQ(in[k], st.source * 100 + static_cast<int>(k));
+        }
+        seen[static_cast<std::size_t>(st.source)]++;
+      }
+      EXPECT_EQ(seen, (std::vector<int>{0, 1, 1}));
+    } else {
+      std::vector<int> out(static_cast<std::size_t>(8 * c.rank()));
+      std::iota(out.begin(), out.end(), c.rank() * 100);
+      c.send(out.data(), out.size() * sizeof(int), 0, 20 + c.rank());
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, IntraNodeWildcard,
+                         ::testing::Values(mpi::StackKind::Mpich2Nmad, mpi::StackKind::Mvapich2,
+                                           mpi::StackKind::OpenMpiBtlIb),
+                         [](const auto& info) {
+                           std::string s = mpi::to_string(info.param);
+                           std::erase(s, '-');
+                           return s;
+                         });
+
 // ---------------------------------------------------------------------------
 // Collectives: property sweeps over (procs, payload size) for every stack.
 // ---------------------------------------------------------------------------

@@ -95,7 +95,10 @@ struct ShmFixture : ::testing::Test {
   const std::byte* send(std::size_t n, int tag_seed) {
     Message m;
     m.src_local = 0;
-    m.header = tag_seed;
+    m.header.kind = ShmHdr::Kind::Rts;
+    m.header.tag = tag_seed;
+    m.header.rdv_id = 1000 + static_cast<std::uint64_t>(tag_seed);
+    m.header.len = n;
     m.payload = payload_of(n, tag_seed);
     const std::byte* buf = m.payload.data();
     node.send(1, std::move(m));
@@ -108,7 +111,11 @@ TEST_F(ShmFixture, SmallMessageArrivesIntact) {
   eng.run();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].payload, payload_of(100, 1));
-  EXPECT_EQ(std::any_cast<int>(delivered[0].header), 1);
+  // The whole typed header rides the first cell.
+  EXPECT_EQ(delivered[0].header.kind, ShmHdr::Kind::Rts);
+  EXPECT_EQ(delivered[0].header.tag, 1);
+  EXPECT_EQ(delivered[0].header.rdv_id, 1001u);
+  EXPECT_EQ(delivered[0].header.len, 100u);
   EXPECT_EQ(delivered[0].src_local, 0);
 }
 
@@ -135,7 +142,7 @@ TEST_F(ShmFixture, MessagesKeepSendOrder) {
   eng.run();
   ASSERT_EQ(delivered.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(std::any_cast<int>(delivered[static_cast<std::size_t>(i)].header), i);
+    EXPECT_EQ(delivered[static_cast<std::size_t>(i)].header.tag, i);
   }
 }
 
@@ -174,7 +181,7 @@ TEST(ShmInterleave, TwoSendersMultiCellMessagesIntoOneReceiver) {
     for (int src = 0; src < 2; ++src) {
       Message m;
       m.src_local = src;
-      m.header = i;
+      m.header.tag = i;
       m.payload = payload_of(size_of(src, i), 16 * src + i);
       node.send(2, std::move(m));
     }
@@ -186,7 +193,7 @@ TEST(ShmInterleave, TwoSendersMultiCellMessagesIntoOneReceiver) {
   bool interleaved = false;
   for (std::size_t k = 0; k < delivered.size(); ++k) {
     const Message& m = delivered[k];
-    const int i = std::any_cast<int>(m.header);
+    const int i = m.header.tag;
     EXPECT_EQ(i, next[static_cast<std::size_t>(m.src_local)]++) << "per-sender order";
     EXPECT_EQ(m.payload, payload_of(size_of(m.src_local, i), 16 * m.src_local + i));
     if (k > 0 && delivered[k - 1].src_local != m.src_local) interleaved = true;
