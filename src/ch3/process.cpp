@@ -91,7 +91,12 @@ Ch3Process::~Ch3Process() = default;
 // ---------------------------------------------------------------------------
 
 MpidRequest* Ch3Process::new_request(MpidRequest::Kind kind) {
-  requests_.emplace_back();
+  if (free_requests_.empty()) {
+    requests_.emplace_back();
+  } else {
+    requests_.splice(requests_.end(), free_requests_, free_requests_.begin());
+    requests_.back() = MpidRequest{};  // a reused node starts fresh
+  }
   auto it = std::prev(requests_.end());
   it->self = it;
   it->kind = kind;
@@ -99,7 +104,11 @@ MpidRequest* Ch3Process::new_request(MpidRequest::Kind kind) {
 }
 
 Ch3Process::NmCtx* Ch3Process::new_ctx(std::function<void(nmad::Request&)> fn) {
-  nm_ctxs_.emplace_back();
+  if (free_ctxs_.empty()) {
+    nm_ctxs_.emplace_back();
+  } else {
+    nm_ctxs_.splice(nm_ctxs_.end(), free_ctxs_, free_ctxs_.begin());
+  }
   auto it = std::prev(nm_ctxs_.end());
   it->self = it;
   it->fn = std::move(fn);
@@ -110,7 +119,7 @@ void Ch3Process::run_nmad_completion(nmad::Request& r) {
   auto* ctx = static_cast<NmCtx*>(r.user_ctx);
   NMX_ASSERT_MSG(ctx != nullptr, "nmad request without completion context");
   auto fn = std::move(ctx->fn);
-  nm_ctxs_.erase(ctx->self);
+  free_ctxs_.splice(free_ctxs_.begin(), nm_ctxs_, ctx->self);
   fn(r);
 }
 
@@ -400,7 +409,7 @@ void Ch3Process::release(mpi::TxRequest* r) {
     NMX_ASSERT(req->nmad_req->completed);
     core_->release(req->nmad_req);
   }
-  requests_.erase(req->self);
+  free_requests_.splice(free_requests_.begin(), requests_, req->self);
 }
 
 // ---------------------------------------------------------------------------

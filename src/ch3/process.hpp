@@ -180,8 +180,13 @@ class Ch3Process final : public mpi::Transport {
   std::unique_ptr<nmad::Core> core_;
   std::unique_ptr<pioman::Manager> pioman_;
 
+  // Live objects, plus released nodes kept for reuse (each free list is
+  // bounded by the peak number of live objects): a message costs no heap
+  // allocation for its request or completion context.
   std::list<MpidRequest> requests_;
+  std::list<MpidRequest> free_requests_;
   std::list<NmCtx> nm_ctxs_;
+  std::list<NmCtx> free_ctxs_;
 
   // ADI3 queue pair (§3.1.1) for traffic CH3 itself matches.
   std::list<MpidRequest*> posted_queue_;

@@ -76,15 +76,13 @@ int Comm::waitany(std::span<Request> reqs, Status* st) {
     }
     NMX_ASSERT_MSG(active >= 0, "waitany with no active requests");
     for (Request& r : reqs) {
-      if (r.valid()) r.req_->waiters.push_back(&actor_);
+      if (r.valid()) r.req_->set_waiter(actor_);
     }
     actor_.block();
-    // Remove ourselves from the requests that did not fire; completed ones
-    // cleared their waiter lists already.
+    // Unregister from the requests that did not fire; a completed one
+    // cleared its waiter already.
     for (Request& r : reqs) {
-      if (!r.valid()) continue;
-      auto& w = r.req_->waiters;
-      w.erase(std::remove(w.begin(), w.end(), &actor_), w.end());
+      if (r.valid()) r.req_->waiter = nullptr;
     }
   }
 }

@@ -322,6 +322,10 @@ class Comm {
   /// world rank in a status -> local rank in this communicator
   Status localized(Status st) const {
     if (st.source >= 0) {
+      // Identity group (every world-sized communicator): nothing to scan.
+      if (st.source < size_ && group_[static_cast<std::size_t>(st.source)] == st.source) {
+        return st;
+      }
       for (int p = 0; p < size_; ++p) {
         if (group_[static_cast<std::size_t>(p)] == st.source) {
           st.source = p;

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -41,7 +42,9 @@ struct Status {
 struct TxRequest {
   bool completed = false;
   Status status;
-  std::vector<sim::Actor*> waiters;
+  /// The actor blocked on this request, if any. Only the owning rank's actor
+  /// ever waits on its requests, so one slot is enough.
+  sim::Actor* waiter = nullptr;
   /// Message-lifecycle span id (obs::SpanId), open from post to completion.
   /// Lives on the base so the MPI layer can name the request a wait blocked
   /// on without knowing the transport's request subtype. 0 = untraced.
@@ -49,12 +52,18 @@ struct TxRequest {
 
   virtual ~TxRequest() = default;
 
-  /// Mark complete and wake blocked waiters. Engine-thread or actor context.
+  /// Register `self` as the waiter; a request has at most one.
+  void set_waiter(sim::Actor& self) {
+    NMX_ASSERT_MSG(waiter == nullptr || waiter == &self,
+                   "two actors wait on one request; only its owner may");
+    waiter = &self;
+  }
+
+  /// Mark complete and wake the blocked waiter. Engine-thread or actor context.
   void complete_and_wake() {
     NMX_ASSERT_MSG(!completed, "request completed twice");
     completed = true;
-    for (sim::Actor* a : waiters) a->wake();
-    waiters.clear();
+    if (waiter != nullptr) std::exchange(waiter, nullptr)->wake();
   }
 };
 
@@ -111,7 +120,7 @@ class Transport {
   void wait(sim::Actor& self, TxRequest* r) {
     enter_progress();
     while (!r->completed) {
-      r->waiters.push_back(&self);
+      r->set_waiter(self);
       self.block();
     }
     leave_progress();

@@ -77,13 +77,26 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int m
 }
 
 Request* Core::new_request(Request r) {
-  live_.push_back(std::move(r));
+  if (free_.empty()) {
+    live_.push_back(std::move(r));
+  } else {
+    live_.splice(live_.end(), free_, free_.begin());
+    live_.back() = std::move(r);
+  }
   auto it = std::prev(live_.end());
   it->self = it;
   return &*it;
 }
 
 Core::GateState& Core::gate(int peer) { return gates_[peer]; }
+
+std::size_t Core::seq_of(GateState& g, Tag tag) {
+  for (std::size_t i = 0; i < g.seq.size(); ++i) {
+    if (g.seq[i].tag == tag) return i;
+  }
+  g.seq.push_back(Seq{tag});
+  return g.seq.size() - 1;
+}
 
 bool Core::any_rail_needs_registration() const {
   for (const Driver& d : drivers_) {
@@ -119,7 +132,7 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
   }());
 
   GateState& g = gate(dst);
-  const std::uint32_t seq = g.seq[tag].send++;
+  const std::uint32_t seq = g.seq[seq_of(g, tag)].send++;
   obs::Recorder* rec = eng_.recorder();
   Entry e;
   e.dst_proc = dst;
@@ -209,7 +222,7 @@ void Core::release(Request* r) {
     eng_.cancel(r->retry_timer);
     r->retry_timer = 0;
   }
-  live_.erase(r->self);
+  free_.splice(free_.begin(), live_, r->self);
 }
 
 std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) const {
@@ -582,12 +595,12 @@ void Core::dispatch_entry(int src, int fabric_rail, Entry e) {
 }
 
 void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
+  // Gates are unordered_map nodes, so `g` survives the hooks re-entering
+  // the core; `g.seq` may grow under them, so hold an index, not a reference.
   GateState& g = gate(src);
-  // Element references of an unordered_map survive rehashing, so `expected`
-  // stays valid while ingest() re-enters the core through the hooks.
-  std::uint32_t& expected = g.seq[e.tag].recv;
-  if (e.seq != expected) {
-    if (e.seq < expected) {
+  const std::size_t si = seq_of(g, e.tag);
+  if (e.seq != g.seq[si].recv) {
+    if (e.seq < g.seq[si].recv) {
       // This matching slot was already consumed: a wire duplicate or a
       // sender retransmission. Eager entries are never faulted, so only an
       // Rts can get here — and it must never re-enter the matching stream
@@ -603,21 +616,21 @@ void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
     g.out_of_order.emplace(std::make_pair(tag, seq), PendingIngest{std::move(e), src, fabric_rail});
     return;
   }
-  ++expected;
-  ingest(src, e, fabric_rail);
+  ++g.seq[si].recv;
+  ingest(g, src, e, fabric_rail);
   // Drain any stashed successors that are now in order.
   for (;;) {
-    auto it = g.out_of_order.find({e.tag, expected});
+    auto it = g.out_of_order.find({e.tag, g.seq[si].recv});
     if (it == g.out_of_order.end()) break;
     Entry next = std::move(it->second.entry);
     const int next_rail = it->second.fabric_rail;
     g.out_of_order.erase(it);
-    ++expected;
-    ingest(src, next, next_rail);
+    ++g.seq[si].recv;
+    ingest(g, src, next, next_rail);
   }
 }
 
-void Core::ingest(int src, Entry& e, int fabric_rail) {
+void Core::ingest(GateState& g, int src, Entry& e, int fabric_rail) {
   const bool rdv = e.kind == Entry::Kind::Rts;
   // Landing link for the critical-path analyzer: last byte of this eager
   // entry is on the receiver, on `fabric_rail`, named by the sender's span.
@@ -626,7 +639,6 @@ void Core::ingest(int src, Entry& e, int fabric_rail) {
       rec->link(eng_.now(), my_proc_, obs::Cat::WireLand, e.span, e.bytes.size(), fabric_rail);
     }
   }
-  GateState& g = gate(src);
   auto it = std::find_if(g.posted.begin(), g.posted.end(),
                          [&e](const Request* r) { return r->tag == e.tag; });
   if (it != g.posted.end()) {

@@ -142,6 +142,7 @@ class Core {
 
   /// Per-(peer, tag) matching sequence numbers: next to send, next expected.
   struct Seq {
+    Tag tag = 0;
     std::uint32_t send = 0;
     std::uint32_t recv = 0;
   };
@@ -149,8 +150,12 @@ class Core {
   /// All matching state toward one peer (the paper's gate). Matching takes
   /// the first list entry with the same tag, which keeps per-(peer, tag)
   /// FIFO order; the lists are short, and empty ones allocate nothing.
+  /// `seq` is a flat table searched linearly (seq_of): a gate talks on a
+  /// handful of tags (at most 21 on NAS CG at 512 ranks), so a scan beats a
+  /// hash. It only grows, so callers that may re-enter the core hold an
+  /// index into it, never a reference.
   struct GateState {
-    std::unordered_map<Tag, Seq> seq;
+    std::vector<Seq> seq;
     std::map<std::pair<Tag, std::uint32_t>, PendingIngest> out_of_order;
     std::vector<Request*> posted;        ///< receives in post order
     std::vector<Unexpected> unexpected;  ///< unmatched arrivals in arrival order
@@ -192,6 +197,8 @@ class Core {
 
   Request* new_request(Request r);
   GateState& gate(int peer);
+  /// Index of `tag`'s entry in `g.seq`, appending a fresh one on first use.
+  static std::size_t seq_of(GateState& g, Tag tag);
   /// Strategy hand-off, instrumented: StratEnqueue record + queue-depth gauge.
   void enqueue(Entry e);
   /// Scheduler observability: per-rail backlog/steal gauges plus counter-track
@@ -210,8 +217,8 @@ class Core {
   void dispatch_entry(int src, int fabric_rail, Entry e);
   void ingest_ordered(int src, Entry e, int fabric_rail);
   /// Match an in-order Eager or Rts entry against the gate's posted
-  /// receives, or queue it as unexpected.
-  void ingest(int src, Entry& e, int fabric_rail);
+  /// receives, or queue it as unexpected. `g` is gate(src).
+  void ingest(GateState& g, int src, Entry& e, int fabric_rail);
   /// Copy an eager payload into a matched receive and complete it.
   void land_eager(Request& req, const std::vector<std::byte>& bytes, std::uint64_t span);
   /// An Rts whose matching slot was already consumed (wire duplicate or
@@ -297,6 +304,9 @@ class Core {
   std::vector<Driver> drivers_;
 
   std::list<Request> live_;
+  /// Released request nodes, reused by new_request (bounded by the peak
+  /// number of live requests): a request costs no heap allocation.
+  std::list<Request> free_;
   std::unordered_map<int, GateState> gates_;
   std::unordered_map<std::uint64_t, Request*> rdv_out_;  ///< rdv_id -> send req
   std::map<std::pair<int, std::uint64_t>, RdvIn> rdv_in_;

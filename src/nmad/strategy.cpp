@@ -29,6 +29,7 @@ class QueuedStrategy : public Strategy {
         opts_(opts),
         live_(sampling.num_rails(), true),
         aggregate_(aggregate),
+        rr_cursor_(sampling.num_rails(), 0),
         backlog_(sampling.num_rails(), 0) {}
 
   void enqueue(Entry e) override {
@@ -44,7 +45,7 @@ class QueuedStrategy : public Strategy {
     if (!rail_live(rail)) return std::nullopt;
     // Round-robin across destinations that have traffic on this rail: the
     // first one at or after the cursor, wrapping to the rail's first.
-    auto& cursor = rr_cursor_[rail];
+    int& cursor = rr_cursor_[static_cast<std::size_t>(rail)];
     auto on_rail = [&](auto it) { return it != queues_.end() && it->first.first == rail; };
     auto pick = queues_.lower_bound({rail, cursor});
     if (!on_rail(pick)) pick = queues_.lower_bound({rail, std::numeric_limits<int>::min()});
@@ -149,7 +150,7 @@ class QueuedStrategy : public Strategy {
   // (rail, dst) -> non-empty FIFO. Ordered map so round-robin iteration is
   // stable.
   std::map<std::pair<int, int>, std::deque<Entry>> queues_;
-  std::map<int, int> rr_cursor_;
+  std::vector<int> rr_cursor_;  ///< per rail: next destination to serve
   std::size_t pending_ = 0;
   std::vector<std::size_t> backlog_;  ///< queued wire bytes per rail
 };

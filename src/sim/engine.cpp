@@ -165,18 +165,22 @@ void Engine::free_slot(Event& ev) {
 }
 
 void Engine::route(Event& ev, Time delta) {
+  const HeapEntry entry{ev.t, ev.seq, ev.slot};
   if (ev.t <= now_) {
     // Same-timestamp bucket: actor wakes, resume batons, clamped past events.
     ev.loc = kLocDue;
-    due_.push_back(ev.slot);
+    due_.push_back(entry);
     return;
   }
+  auto to_fifo = [&](DeltaQueue& d) {
+    ev.loc = static_cast<std::uint8_t>(kLocDelta + (&d - deltas_.data()));
+    d.q.push_back(entry);
+  };
   if (delta > 0) {
     for (DeltaQueue& d : deltas_) {
       if (d.dt == delta) {
         ++d.hits;
-        ev.loc = kLocDelta;
-        d.q.push_back(ev.slot);
+        to_fifo(d);
         return;
       }
     }
@@ -194,13 +198,12 @@ void Engine::route(Event& ev, Time delta) {
     if (claim != nullptr) {
       claim->dt = delta;
       claim->hits = 1;
-      ev.loc = kLocDelta;
-      claim->q.push_back(ev.slot);
+      to_fifo(*claim);
       return;
     }
   }
   ev.loc = kLocHeap;
-  heap_.push_back(HeapEntry{ev.t, ev.seq, ev.slot});
+  heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
 }
 
@@ -217,6 +220,18 @@ void Engine::cancel(EventId id) {
     // Deferred compaction: only when dead entries dominate, so cancel stays
     // O(1) amortized and the heap never fills with tombstones.
     if (heap_dead_ >= 64 && heap_dead_ * 2 >= heap_.size()) compact_heap();
+    return;
+  }
+  // A FIFO tombstone that heads its queue is reaped now, with the run of
+  // tombstones queued behind it: far-future timeouts cancelled in about the
+  // order they were set (a constant-delta FIFO) never pile up as dead slots.
+  std::deque<HeapEntry>& q = ev.loc == kLocDue ? due_ : deltas_[ev.loc - kLocDelta].q;
+  while (!q.empty()) {
+    Event& front = slot_ref(q.front().slot);
+    if (front.state != kStateCancelled) break;
+    --tombstones_;
+    free_slot(front);
+    q.pop_front();
   }
 }
 
@@ -238,75 +253,41 @@ void Engine::compact_heap() {
 }
 
 std::uint32_t Engine::pop_next() {
-  // Reap tombstones at every queue front so min-selection sees live events.
-  auto reap_fifo = [&](std::deque<std::uint32_t>& dq) {
-    while (!dq.empty()) {
-      Event& ev = slot_ref(dq.front());
-      if (ev.state != kStateCancelled) break;
-      --tombstones_;
-      free_slot(ev);
-      dq.pop_front();
+  for (;;) {
+    // Global (t, seq) minimum across the three structures. Every queue is
+    // sorted and its entries carry their keys, so comparing fronts yields
+    // the same total order as one heap without touching any event slot.
+    std::deque<HeapEntry>* fifo = nullptr;
+    const HeapEntry* best = nullptr;
+    if (!due_.empty()) {
+      fifo = &due_;
+      best = &due_.front();
     }
-  };
-  reap_fifo(due_);
-  for (DeltaQueue& d : deltas_) reap_fifo(d.q);
-  while (!heap_.empty()) {
-    Event& ev = slot_ref(heap_.front().slot);
-    if (ev.state != kStateCancelled) break;
-    --tombstones_;
-    --heap_dead_;
-    free_slot(ev);
-    std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-    heap_.pop_back();
-  }
+    for (DeltaQueue& d : deltas_) {
+      if (!d.q.empty() && (best == nullptr || before(d.q.front(), *best))) {
+        fifo = &d.q;
+        best = &d.q.front();
+      }
+    }
+    const bool from_heap = !heap_.empty() && (best == nullptr || before(heap_.front(), *best));
+    if (!from_heap && best == nullptr) return kNoSlot;
 
-  // Global (t, seq) minimum across the three structures. Every queue is
-  // sorted, so comparing fronts yields the same total order as one heap.
-  enum { kNone, kDue, kDelta, kHeap } src = kNone;
-  std::size_t delta_idx = 0;
-  Time bt = 0;
-  std::uint64_t bs = 0;
-  auto better = [&](Time t, std::uint64_t s) {
-    return src == kNone || t < bt || (t == bt && s < bs);
-  };
-  if (!due_.empty()) {
-    const Event& ev = slot_ref(due_.front());
-    src = kDue;
-    bt = ev.t;
-    bs = ev.seq;
-  }
-  for (std::size_t i = 0; i < deltas_.size(); ++i) {
-    if (deltas_[i].q.empty()) continue;
-    const Event& ev = slot_ref(deltas_[i].q.front());
-    if (better(ev.t, ev.seq)) {
-      src = kDelta;
-      delta_idx = i;
-      bt = ev.t;
-      bs = ev.seq;
-    }
-  }
-  if (!heap_.empty() && better(heap_.front().t, heap_.front().seq)) src = kHeap;
-
-  switch (src) {
-    case kNone: return kNoSlot;
-    case kDue: {
-      const std::uint32_t s = due_.front();
-      due_.pop_front();
-      return s;
-    }
-    case kDelta: {
-      const std::uint32_t s = deltas_[delta_idx].q.front();
-      deltas_[delta_idx].q.pop_front();
-      return s;
-    }
-    case kHeap: {
-      const std::uint32_t s = heap_.front().slot;
+    std::uint32_t s = 0;
+    if (from_heap) {
+      s = heap_.front().slot;
       std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
       heap_.pop_back();
-      return s;
+    } else {
+      s = best->slot;
+      fifo->pop_front();
     }
+    Event& ev = slot_ref(s);
+    if (ev.state != kStateCancelled) return s;
+    // A tombstone came out as the minimum: free it and pick again.
+    --tombstones_;
+    if (from_heap) --heap_dead_;
+    free_slot(ev);
   }
-  NMX_FAIL("unreachable");
 }
 
 void Engine::dispatch(Event& ev) {

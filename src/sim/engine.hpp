@@ -36,15 +36,22 @@
 //    by exact schedule_in() delta — the "now + constant α" NIC/software
 //    costs (inject, deliver, reaction period, ...) are a handful of repeated
 //    constants, and now+α is monotone in now, so each queue stays sorted by
-//    construction: O(1) push/pop. (c) `heap_`: classic binary heap of
-//    (t, seq, slot) for everything else. The dispatcher pops the global
-//    (t, seq)-minimum across the three; semantics are identical to a single
-//    priority queue (events at equal times run in scheduling order).
+//    construction: O(1) push/pop. (c) `heap_`: classic binary heap for
+//    everything else. Every queue entry is a HeapEntry (t, seq, slot) that
+//    carries its own sort key, so the dispatcher picks the global
+//    (t, seq)-minimum across the three from the queue fronts alone and
+//    touches only the chosen event's slot; semantics are identical to a
+//    single priority queue (events at equal times run in scheduling order).
 //  * Tombstone cancellation. cancel() destroys the callback and flags the
-//    slot O(1); queue entries are skipped lazily at the front. When dead
-//    entries dominate the heap, it is compacted in one pass (deferred
-//    compaction), so cancel-heavy paths (block_until timeouts) never pay a
-//    per-cancel O(n) erase or grow the heap without bound.
+//    slot O(1). Reaping rule: a cancelled entry at the front of a FIFO is
+//    freed by cancel() itself, with the tombstones queued right behind it;
+//    any other tombstone is freed when its entry comes out as the global
+//    minimum (the dispatcher then picks again). Dispatch never scans queue
+//    fronts for dead entries, and no tombstone survives the queues
+//    draining. When dead entries dominate the heap, it is compacted in one
+//    pass (deferred compaction), so cancel-heavy paths (block_until
+//    timeouts) never pay a per-cancel O(n) erase or grow the heap without
+//    bound.
 #pragma once
 
 #include <cstdint>
@@ -216,9 +223,9 @@ class Engine {
     return schedule_in(dt, std::forward<F>(fn));
   }
 
-  /// Cancel a pending event: O(1) — destroys the callback and tombstones the
-  /// pool slot; the queue entry is reaped lazily. No-op if the event already
-  /// ran or was cancelled.
+  /// Cancel a pending event: O(1) amortized — destroys the callback and
+  /// tombstones the pool slot; the queue entry is reaped by the rule in the
+  /// header comment. No-op if the event already ran or was cancelled.
   void cancel(EventId id);
 
   /// Create an actor whose body starts at the current virtual time.
@@ -284,7 +291,8 @@ class Engine {
   static constexpr std::size_t kMaxDeltaQueues = 8;
 
   enum : std::uint8_t { kStateFree = 0, kStatePending, kStateRunning, kStateCancelled };
-  enum : std::uint8_t { kLocDue = 0, kLocDelta, kLocHeap };
+  /// Where an event's queue entry sits: due_, heap_, or deltas_[loc - kLocDelta].
+  enum : std::uint8_t { kLocDue = 0, kLocHeap, kLocDelta };
   /// Actor-resume events carry no closure at all — mode + actor + generation
   /// live directly in the slot, so the hottest event kind (baton handoff) is
   /// a plain store on schedule and a branch on dispatch.
@@ -303,15 +311,19 @@ class Engine {
     std::uint8_t resume_mode = kResumeNone;
   };
 
+  /// A queue entry: the event's slot plus a copy of its sort key.
   struct HeapEntry {
     Time t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
+  /// Strict (t, seq) order: true when `a` runs before `b`.
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  }
   struct HeapCmp {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;  // min-(t, seq) at the front
+      return before(b, a);  // min-(t, seq) at the front
     }
   };
 
@@ -320,7 +332,7 @@ class Engine {
   struct DeltaQueue {
     Time dt = 0;
     std::uint64_t hits = 0;
-    std::deque<std::uint32_t> q;
+    std::deque<HeapEntry> q;
   };
 
   Event& slot_ref(std::uint32_t slot) {
@@ -339,8 +351,8 @@ class Engine {
   /// schedule (due bucket when t == now, else heap).
   void route(Event& ev, Time delta);
   void free_slot(Event& ev);
-  /// Pop the (t, seq)-minimum live event across the three queues, reaping
-  /// tombstones at the fronts. kNoSlot when everything drained.
+  /// Pop the (t, seq)-minimum live event across the three queues, freeing
+  /// any tombstone that comes out first. kNoSlot when everything drained.
   std::uint32_t pop_next();
   void compact_heap();
   void dispatch(Event& ev);
@@ -362,7 +374,7 @@ class Engine {
   std::uint64_t closure_heap_allocs_ = 0;
 
   // queues
-  std::deque<std::uint32_t> due_;
+  std::deque<HeapEntry> due_;
   std::vector<DeltaQueue> deltas_;
   std::vector<HeapEntry> heap_;
   std::size_t tombstones_ = 0;

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "ch3/anysource.hpp"
+#include "ch3/packet.hpp"
+#include "ch3/request.hpp"
 #include "mpi/cluster.hpp"
 
 namespace nmx {
@@ -258,6 +260,79 @@ TEST(AnySourceIntegration, ConstantLatencyPenalty) {
   EXPECT_NEAR(gap_small, 0.3e-6, 0.05e-6);
   EXPECT_NEAR(gap_large, 0.3e-6, 0.05e-6);
 }
+
+// ---------------------------------------------------------------------------
+// Recycled request objects
+// ---------------------------------------------------------------------------
+
+// A released MpidRequest goes back to its process's free list and the next
+// request reuses the node. The first receive here goes through the
+// any-source lists (via_any_source, a bound NewMadeleine request); the plain
+// remote receive that reuses its node must start fresh: same completion time
+// as when the first receive named its source, so no 300 ns any-source charge
+// carried over, and its own unbound, unqueued state.
+class RecycledRequest : public ::testing::TestWithParam<bool> {
+ protected:
+  struct Outcome {
+    bool first_via_any_source = false;
+    bool node_reused = false;
+    double second_done = -1;
+  };
+
+  Outcome run(int first_src) {
+    mpi::ClusterConfig cfg = stack_cfg(2, 2);
+    cfg.pioman = GetParam();
+    mpi::Cluster cluster(cfg);
+    Outcome out;
+    constexpr int kCtx = 0;  // the world communicator's user context
+    constexpr double kSecondSendAt = 200e-6;
+    cluster.run([&](mpi::Comm& c) {
+      mpi::Transport& tx = cluster.transport(c.rank());
+      if (c.rank() == 1) {
+        int v = 111;
+        c.send(&v, sizeof(v), 0, 7);
+        c.compute(kSecondSendAt - c.wtime());  // long after the first receive settled
+        v = 222;
+        c.send(&v, sizeof(v), 0, 8);
+        return;
+      }
+      int a = -1, b = -1;
+      auto* first = static_cast<ch3::MpidRequest*>(tx.irecv(first_src, 7, kCtx, &a, sizeof(a)));
+      tx.wait(c.actor(), first);
+      EXPECT_EQ(a, 111);
+      out.first_via_any_source = first->via_any_source;
+      tx.release(first);
+
+      auto* second = static_cast<ch3::MpidRequest*>(tx.irecv(1, 8, kCtx, &b, sizeof(b)));
+      out.node_reused = second == first;
+      EXPECT_FALSE(second->completed);
+      EXPECT_FALSE(second->via_any_source);
+      EXPECT_FALSE(second->in_posted_queue);  // remote known source: nmad matches it
+      ASSERT_NE(second->nmad_req, nullptr);
+      EXPECT_EQ(second->nmad_req->tag, ch3::pack_tag(kCtx, 8));
+      EXPECT_FALSE(second->nmad_req->completed);
+      tx.wait(c.actor(), second);
+      out.second_done = c.wtime();
+      EXPECT_EQ(b, 222);
+      EXPECT_EQ(second->status.source, 1);
+      EXPECT_EQ(second->status.tag, 8);
+      tx.release(second);
+    });
+    return out;
+  }
+};
+
+TEST_P(RecycledRequest, ReusedNodeStartsFresh) {
+  const Outcome any = run(mpi::ANY_SOURCE);
+  const Outcome known = run(1);
+  ASSERT_TRUE(any.first_via_any_source);
+  ASSERT_FALSE(known.first_via_any_source);
+  ASSERT_TRUE(any.node_reused) << "the second receive did not reuse the released node";
+  EXPECT_DOUBLE_EQ(any.second_done, known.second_done)
+      << "the any-source charge leaked into the recycled request";
+}
+
+INSTANTIATE_TEST_SUITE_P(Pioman, RecycledRequest, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
 // Intra-node CH3 rendezvous (Nemesis LMT)

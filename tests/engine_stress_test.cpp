@@ -182,6 +182,49 @@ TEST(EngineStress, MassCancellationCompactsTheHeapAndFreesEverySlot) {
   EXPECT_EQ(eng.tombstones(), 0u);
 }
 
+// Queue entries carry their own (t, seq) keys. Cancel the front of a delta
+// FIFO while an earlier heap event and a due event are pending: cancel()
+// reaps it at once. A tombstone behind a live FIFO entry stays until it
+// comes out as the global minimum, with heap events at the same time queued
+// on both sides of it. Dispatch must follow one priority queue throughout,
+// and no tombstone or slot may be left once the queues drain.
+TEST(EngineStress, CancelledDeltaFrontIsReapedInPriorityOrder) {
+  Engine eng;
+  ReferenceQueue ref;
+  auto fire = [&ref, &eng](std::uint64_t label) {
+    return [&ref, &eng, label] { ref.expect_front(eng.now(), label); };
+  };
+  auto schedule_in = [&](Time dt, std::uint64_t label) {
+    ref.insert(eng.now() + dt, label);
+    return eng.schedule_in(dt, fire(label));
+  };
+  auto schedule_at = [&](Time t, std::uint64_t label) {
+    ref.insert(t, label);
+    return eng.schedule(t, fire(label));
+  };
+  constexpr Time kDelta = 1e-6;
+  const EventId front = schedule_in(kDelta, 1);  // delta FIFO front
+  schedule_at(kDelta, 2);                        // heap, same time, later seq
+  schedule_in(kDelta, 3);                        // delta FIFO, behind the front
+  const EventId middle = schedule_in(kDelta, 4);
+  schedule_at(kDelta, 5);  // heap, same time, after the middle tombstone
+  schedule_in(kDelta, 6);
+  schedule_at(0.5 * kDelta, 7);  // heap, earlier than the FIFO
+  schedule_at(0, 8);             // due bucket (t == now)
+  schedule_at(2 * kDelta, 9);    // heap, after everything
+  eng.cancel(front);
+  ref.cancelled.insert(1);
+  EXPECT_EQ(eng.tombstones(), 0u) << "a cancelled FIFO front is reaped at once";
+  eng.cancel(middle);
+  ref.cancelled.insert(4);
+  EXPECT_EQ(eng.tombstones(), 1u) << "a tombstone behind a live entry waits its turn";
+  eng.run();
+  EXPECT_EQ(ref.live(), 0u) << "an event the reference holds never ran";
+  EXPECT_EQ(eng.events_processed(), 7u);
+  EXPECT_EQ(eng.tombstones(), 0u);
+  EXPECT_EQ(eng.live_events(), 0u);
+}
+
 TEST(EngineStress, StaleIdsAfterSlotReuseAreNoOps) {
   Engine eng;
   bool second_ran = false;

@@ -482,6 +482,62 @@ TEST_F(CoreFixture, DifferentTagsMatchIndependently) {
   EXPECT_EQ(f2, p2);
 }
 
+// Two rails, one tag: a full-size eager message takes the fast rail and the
+// cost model steers the small ones behind it to the idle second rail, so they
+// land first and wait in the out-of-order stash until the big one drains
+// them. Every receive completion posts a send back to the same peer on a
+// fresh tag, which appends to the gate's per-tag sequence table while the
+// drain is still walking it (a reference into the table held across that
+// growth is a use-after-free under ASan).
+TEST_F(CoreFixture, OutOfOrderDrainSurvivesSequenceTableGrowth) {
+  make_cores(StrategyKind::CostModel, {0, 1});
+  constexpr Tag kTag = 7;
+  constexpr Tag kReplyTag = 100;
+  const std::vector<std::size_t> sizes{calib::kNmadRdvThreshold, 64, 64};
+  std::vector<std::vector<std::byte>> msgs, dsts, replies;
+  std::vector<Request*> recvs;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    msgs.push_back(pattern(sizes[i], 40 + static_cast<int>(i)));
+    dsts.emplace_back(sizes[i]);
+    replies.push_back(pattern(32, 60 + static_cast<int>(i)));
+  }
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    recvs.push_back(b->irecv(0, kTag, dsts[i].data(), dsts[i].size()));
+  }
+  std::vector<std::size_t> order;
+  std::vector<Time> done_at;
+  b->set_on_complete([&](Request& r) {
+    if (r.kind != Request::Kind::Recv) return;
+    const auto i = static_cast<std::size_t>(
+        std::find(recvs.begin(), recvs.end(), &r) - recvs.begin());
+    order.push_back(i);
+    done_at.push_back(eng.now());
+    b->isend(0, kReplyTag + i, replies[i].data(), replies[i].size());
+  });
+  // The small sends are posted once the big one occupies rail 0.
+  a->isend(1, kTag, msgs[0].data(), msgs[0].size());
+  eng.schedule(30e-6, [&] {
+    for (std::size_t i = 1; i < sizes.size(); ++i) {
+      a->isend(1, kTag, msgs[i].data(), msgs[i].size());
+    }
+  });
+  eng.run();
+
+  ASSERT_EQ(order, (std::vector<std::size_t>{0, 1, 2})) << "per-tag matching order broken";
+  for (std::size_t i = 0; i < sizes.size(); ++i) EXPECT_EQ(dsts[i], msgs[i]) << "message " << i;
+  // The stash was exercised: the small messages arrived first, so all three
+  // matched in the one drain that the big message's arrival started.
+  EXPECT_EQ(done_at.front(), done_at.back());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::vector<std::byte> got(32);
+    Request* rr = a->irecv(1, kReplyTag + i, got.data(), got.size());
+    EXPECT_TRUE(rr->completed);
+    EXPECT_EQ(got, replies[i]) << "reply " << i;
+  }
+  EXPECT_EQ(a->unexpected_count(), 0u);
+  EXPECT_EQ(b->unexpected_count(), 0u);
+}
+
 TEST_F(CoreFixture, ProbeSeesOldestUnexpected) {
   make_cores();
   auto m = pattern(256, 9);
