@@ -13,6 +13,7 @@ constexpr Time kSelfLatency = 0.1_us;
 BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra)
     : eng_(env.eng),
       fabric_(env.fabric),
+      peers_(env.peers),
       shm_(env.shm),
       rank_(env.rank),
       local_index_(env.local_index),
@@ -20,7 +21,7 @@ BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra
       sw_send_(sw_send),
       sw_recv_(sw_recv),
       shm_extra_(shm_extra) {
-  env.router->register_proc(rank_, [this](net::WirePacket&& p) { rx_wire(std::move(p)); });
+  peers_->add(rank_, this);
   if (shm_) {
     shm_->set_deliver(local_index_, [this](nemesis::Message&& m) { handle_shm(std::move(m)); });
     shm_->set_activity_hook(local_index_, [this] {
@@ -154,8 +155,8 @@ void BaseTransport::complete_send(BaseRequest* req) {
 // network path
 // ---------------------------------------------------------------------------
 
-void BaseTransport::post_tx(int dst, Time prep, BasePkt pkt, std::function<void()> on_egress) {
-  PendingTx tx{dst, prep, std::move(pkt), std::move(on_egress)};
+void BaseTransport::post_tx(int dst, Time prep, BasePkt pkt, BaseRequest* req) {
+  PendingTx tx{dst, prep, std::move(pkt), req};
   if (in_progress()) {
     inject(std::move(tx));
   } else {
@@ -167,27 +168,27 @@ void BaseTransport::inject(PendingTx tx) {
   // Send-side software (sw cost + copy/registration prep) serializes on the
   // host CPU; the NIC then serializes transfers on its own.
   const net::Channel::Grant g = prep_cpu_.reserve(eng_->now(), sw_send_ + tx.prep);
-  const int dst = tx.dst;
-  // Wrap the packet now rather than inside the closure: capturing the raw
-  // BasePkt (64 bytes) next to the on_egress std::function would spill the
-  // event slot's inline closure storage; the WirePacket's type-erased
-  // payload is half the size and the NIC only reads it at g.end anyway.
-  net::WirePacket wp;
-  wp.src_node = my_node_;
-  wp.dst_node = fabric_->topology().node_of(dst);
-  wp.dst_proc = dst;
-  wp.rail = rail();
-  wp.bytes = tx.pkt.wire_bytes();
-  wp.payload = std::move(tx.pkt);
-  eng_->schedule_checked(g.end, [this, wp = std::move(wp),
-                         on_egress = std::move(tx.on_egress)]() mutable {
-    const Time egress = fabric_->transmit(std::move(wp));
-    if (on_egress) eng_->schedule_checked(egress, std::move(on_egress));
+  eng_->schedule_checked(g.end, [this, pkt = std::move(tx.pkt), req = tx.req,
+                                 dst = tx.dst]() mutable {
+    const std::uint64_t xid = pkt.xid;
+    const net::WirePacket hdr{my_node_, fabric_->topology().node_of(dst), rail(),
+                              pkt.wire_bytes()};
+    const Time egress =
+        fabric_->transmit(hdr, [peers = peers_, dst, pkt = std::move(pkt)]() mutable {
+          (*peers)[dst].rx_wire(std::move(pkt));
+        });
+    if (req != nullptr) {
+      eng_->schedule_checked(egress, [this, req, xid] { on_send_egress(req, xid); });
+    }
   });
 }
 
-void BaseTransport::rx_wire(net::WirePacket&& pkt) {
-  pending_rx_.push_back(std::move(std::any_cast<BasePkt&>(pkt.payload)));
+void BaseTransport::on_send_egress(BaseRequest* req, std::uint64_t /*xid*/) {
+  complete_send(req);
+}
+
+void BaseTransport::rx_wire(BasePkt&& pkt) {
+  pending_rx_.push_back(std::move(pkt));
   if (in_progress()) drain();
   // else: no background progress — handled at the next MPI call.
 }

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -23,7 +22,6 @@
 #include "nemesis/shm.hpp"
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "sim/engine.hpp"
 
 namespace nmx::baseline {
@@ -61,7 +59,7 @@ class BaseTransport : public mpi::Transport {
   struct Env {
     sim::Engine* eng;
     net::Fabric* fabric;
-    net::ProcRouter* router;
+    net::Endpoints<BaseTransport>* peers;  ///< this cluster's delivery table
     nemesis::ShmNode* shm;  ///< may be null (alone on the node)
     int rank;
     int local_index;
@@ -97,10 +95,13 @@ class BaseTransport : public mpi::Transport {
 
   // ---- services for derived classes ---------------------------------------
   /// Submit a packet: `prep` seconds of send-side CPU (copy, registration),
-  /// then the NIC. `on_egress` (optional) fires when the NIC finishes
-  /// reading the buffer. Injection is gated: queued until someone is in the
-  /// progress engine.
-  void post_tx(int dst, Time prep, BasePkt pkt, std::function<void()> on_egress = {});
+  /// then the NIC. With `req` set, on_send_egress(req, pkt.xid) fires when
+  /// the NIC finishes reading the buffer. Injection is gated: queued until
+  /// someone is in the progress engine.
+  void post_tx(int dst, Time prep, BasePkt pkt, BaseRequest* req = nullptr);
+  /// Egress continuation of a packet posted with a request: the send is
+  /// complete. `xid` is the packet's rendezvous id (0 for eager packets).
+  virtual void on_send_egress(BaseRequest* req, std::uint64_t xid);
   /// Complete a recv request (status + wakeup), charging `delay` (copy-out).
   void complete_recv_after(BaseRequest* req, int src, int tag, std::size_t count, Time delay);
   void complete_send(BaseRequest* req);
@@ -129,14 +130,14 @@ class BaseTransport : public mpi::Transport {
     int dst;
     Time prep;
     BasePkt pkt;
-    std::function<void()> on_egress;
+    BaseRequest* req;  ///< on_send_egress target (null = none)
   };
 
   BaseRequest* new_request(BaseRequest::Kind kind);
   BaseRequest* match_posted(int src, int tag, int context);
   bool match_unexpected(BaseRequest* req);
   void deliver(BasePkt&& pkt);  // post-gating dispatch
-  void rx_wire(net::WirePacket&& pkt);
+  void rx_wire(BasePkt&& pkt);  // arrival from the fabric
   void drain();
   void inject(PendingTx tx);
   void send_self(BaseRequest* req, const void* buf, std::size_t len);
@@ -145,6 +146,7 @@ class BaseTransport : public mpi::Transport {
 
   sim::Engine* eng_;
   net::Fabric* fabric_;
+  net::Endpoints<BaseTransport>* peers_;
   nemesis::ShmNode* shm_;
   int rank_;
   int local_index_;

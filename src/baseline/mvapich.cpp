@@ -37,8 +37,7 @@ void MvapichTransport::net_send(BaseRequest* req, const void* buf, std::size_t l
     pkt.context = req->context;
     pkt.bytes.resize(len);
     if (len > 0) std::memcpy(pkt.bytes.data(), buf, len);
-    post_tx(req->peer, calib::copy_cost(len), std::move(pkt),
-            [this, req] { complete_send(req); });
+    post_tx(req->peer, calib::copy_cost(len), std::move(pkt), req);
     return;
   }
   // RDMA rendezvous.
@@ -80,7 +79,7 @@ void MvapichTransport::handle_protocol(BasePkt&& pkt) {
       data.xid = pkt.xid;
       data.total = req->len;
       data.bytes.assign(buf, buf + req->len);  // RDMA read of user memory
-      post_tx(pkt.src, reg, std::move(data), [this, req] { complete_send(req); });
+      post_tx(pkt.src, reg, std::move(data), req);
       break;
     }
     case BasePkt::Kind::Data: {

@@ -55,8 +55,7 @@ void OmpiTransport::net_send(BaseRequest* req, const void* buf, std::size_t len)
     pkt.context = req->context;
     pkt.bytes.resize(len);
     if (len > 0) std::memcpy(pkt.bytes.data(), buf, len);
-    post_tx(req->peer, calib::copy_cost(len), std::move(pkt),
-            [this, req] { complete_send(req); });
+    post_tx(req->peer, calib::copy_cost(len), std::move(pkt), req);
     return;
   }
   const std::uint64_t xid = next_xid_++;
@@ -105,14 +104,18 @@ void OmpiTransport::send_next_large_frag(std::uint64_t xid) {
   const Time prep =
       first ? (needs_reg() ? calib::ib_reg_cost(frag) : 0.0) + calib::kOmpiPerFragOverhead
             : kPipelinePost;
-  if (last) {
-    rdv_out_.erase(it);
-    post_tx(req->peer, prep, std::move(pkt), [this, req] { complete_send(req); });
-  } else {
-    post_tx(req->peer, prep, std::move(pkt), [this, xid] {
-      eng().schedule_in_checked(kPipelineStall, [this, xid] { send_next_large_frag(xid); });
-    });
+  if (last) rdv_out_.erase(it);
+  post_tx(req->peer, prep, std::move(pkt), req);
+}
+
+void OmpiTransport::on_send_egress(BaseRequest* req, std::uint64_t xid) {
+  if (rdv_out_.count(xid) == 0) {
+    complete_send(req);
+    return;
   }
+  // A pipelined fragment that was not the last: its rendezvous stays open
+  // until the next fragment, one descriptor turnaround later.
+  eng().schedule_in_checked(kPipelineStall, [this, xid] { send_next_large_frag(xid); });
 }
 
 void OmpiTransport::handle_protocol(BasePkt&& pkt) {
@@ -131,7 +134,7 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
         data.total = req->len;
         data.bytes.assign(o.buf, o.buf + req->len);
         rdv_out_.erase(it);
-        post_tx(req->peer, 0, std::move(data), [this, req] { complete_send(req); });
+        post_tx(req->peer, 0, std::move(data), req);
         break;
       }
       if (req->len <= kSendProtocolMax) {
@@ -153,7 +156,7 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
           const bool last = off + frag >= total;
           const Time prep = calib::copy_cost(frag) + calib::kOmpiPerFragOverhead;
           if (last) {
-            post_tx(dst, prep, std::move(f), [this, req] { complete_send(req); });
+            post_tx(dst, prep, std::move(f), req);
           } else {
             post_tx(dst, prep, std::move(f));
           }

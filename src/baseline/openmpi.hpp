@@ -34,6 +34,7 @@ class OmpiTransport final : public BaseTransport {
   void net_send(BaseRequest* req, const void* buf, std::size_t len) override;
   void grant_rdv(BaseRequest* req, const BasePkt& rts) override;
   void handle_protocol(BasePkt&& pkt) override;
+  void on_send_egress(BaseRequest* req, std::uint64_t xid) override;
 
  private:
   struct OutRdv {

@@ -28,7 +28,7 @@ std::vector<std::byte> serialize_ctl(const ShmHdr& hdr, const void* payload, std
 }
 }  // namespace
 
-Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router,
+Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<nmad::Core>& cores,
                        nemesis::ShmNode* shm, int rank, int local_index, Config cfg)
     : eng_(eng), fabric_(fabric), shm_(shm), rank_(rank), local_index_(local_index), cfg_(cfg) {
   cfg_.nmad.pioman_sync = cfg_.pioman;
@@ -36,7 +36,7 @@ Ch3Process::Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& r
   // generic-layer cost (1.8µs -> 2.1µs one-way).
   cfg_.nmad.sw_send += calib::kCh3SwSend;
   cfg_.nmad.sw_recv += calib::kCh3SwRecv;
-  core_ = std::make_unique<nmad::Core>(eng, fabric, router, rank, cfg_.nmad);
+  core_ = std::make_unique<nmad::Core>(eng, fabric, cores, rank, cfg_.nmad);
   core_->set_on_complete([this](nmad::Request& r) { run_nmad_completion(r); });
   core_->set_on_unexpected([this](const nmad::ProbeInfo& info) {
     if (cfg_.bypass) {

@@ -34,7 +34,6 @@
 #include "mpi/transport.hpp"
 #include "nemesis/shm.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "nmad/core.hpp"
 #include "pioman/pioman.hpp"
 #include "sim/engine.hpp"
@@ -52,7 +51,7 @@ class Ch3Process final : public mpi::Transport {
   };
 
   /// `shm` may be null when the process is alone on its node.
-  Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router,
+  Ch3Process(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<nmad::Core>& cores,
              nemesis::ShmNode* shm, int rank, int local_index, Config cfg);
   ~Ch3Process() override;
 

@@ -19,7 +19,7 @@ std::string to_string(StackKind k) {
   return "?";
 }
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
+Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), cores_(cfg.procs), baselines_(cfg.procs) {
   NMX_ASSERT(cfg_.nodes > 0 && cfg_.procs > 0);
   NMX_ASSERT(!cfg_.rails.empty());
   if (cfg_.trace) {
@@ -36,22 +36,19 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
   }
   const net::Topology& t = fabric_->topology();
 
-  // Per-node infrastructure: shared-memory region (when >1 local process)
-  // and the NIC demultiplexer.
+  // Per-node shared-memory region (when >1 local process).
   shm_nodes_.resize(static_cast<std::size_t>(t.num_nodes));
   for (int n = 0; n < t.num_nodes; ++n) {
     if (t.procs_on(n) > 1) {
       shm_nodes_[static_cast<std::size_t>(n)] =
           std::make_unique<nemesis::ShmNode>(eng_, t.procs_on(n));
     }
-    routers_.push_back(std::make_unique<net::ProcRouter>(*fabric_, n));
   }
 
   for (int p = 0; p < t.num_procs(); ++p) {
     const int node = t.node_of(p);
     const int local = t.local_index(p);
     nemesis::ShmNode* shm = shm_nodes_[static_cast<std::size_t>(node)].get();
-    net::ProcRouter& router = *routers_[static_cast<std::size_t>(node)];
 
     switch (cfg_.stack) {
       case StackKind::Mpich2Nmad: {
@@ -71,11 +68,11 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
         c.pioman = cfg_.pioman;
         c.bypass = cfg_.bypass;
         transports_.push_back(
-            std::make_unique<ch3::Ch3Process>(eng_, *fabric_, router, shm, p, local, c));
+            std::make_unique<ch3::Ch3Process>(eng_, *fabric_, cores_, shm, p, local, c));
         break;
       }
       case StackKind::Mvapich2: {
-        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
+        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &baselines_, shm, p, local};
         transports_.push_back(
             std::make_unique<baseline::MvapichTransport>(env, cfg_.mvapich_rcache));
         break;
@@ -87,7 +84,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg) {
             cfg_.stack == StackKind::OpenMpiBtlIb   ? baseline::OmpiVariant::BtlIb
             : cfg_.stack == StackKind::OpenMpiBtlMx ? baseline::OmpiVariant::BtlMx
                                                      : baseline::OmpiVariant::CmMx;
-        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &router, shm, p, local};
+        baseline::BaseTransport::Env env{&eng_, fabric_.get(), &baselines_, shm, p, local};
         transports_.push_back(std::make_unique<baseline::OmpiTransport>(env, v));
         break;
       }

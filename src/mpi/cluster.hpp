@@ -12,11 +12,17 @@
 #include "mpi/transport.hpp"
 #include "nemesis/shm.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "nmad/types.hpp"
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+
+namespace nmx::nmad {
+class Core;
+}
+namespace nmx::baseline {
+class BaseTransport;
+}
 
 namespace nmx::mpi {
 
@@ -110,7 +116,10 @@ class Cluster {
   std::unique_ptr<sim::FaultPlan> fault_plan_;  // before fabric_: outlives users
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<nemesis::ShmNode>> shm_nodes_;   // per node (may be null)
-  std::vector<std::unique_ptr<net::ProcRouter>> routers_;      // per node
+  // Delivery tables (proc -> receiving endpoint); the configured stack
+  // fills one of them. Declared before transports_: they outlive them.
+  net::Endpoints<nmad::Core> cores_;
+  net::Endpoints<baseline::BaseTransport> baselines_;
   std::vector<std::unique_ptr<Transport>> transports_;         // per proc
   std::unique_ptr<obs::Recorder> recorder_;
   int runs_ = 0;

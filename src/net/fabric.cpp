@@ -39,25 +39,18 @@ const NicProfile& Fabric::profile(int rail) const {
   return topo_.rails[rail];
 }
 
-Fabric::Nic& Fabric::nic(int node, int rail) {
+std::size_t Fabric::nic_index(int node, int rail) const {
   NMX_ASSERT(node >= 0 && node < topo_.num_nodes);
   NMX_ASSERT(rail >= 0 && rail < topo_.num_rails());
-  return nics_[static_cast<std::size_t>(node) * topo_.num_rails() + rail];
+  return static_cast<std::size_t>(node) * topo_.num_rails() + rail;
 }
 
-void Fabric::register_rx(int node, int rail, RxHandler h) {
-  Nic& n = nic(node, rail);
-  NMX_ASSERT_MSG(!n.rx, "rx handler already registered for this (node, rail)");
-  n.rx = std::move(h);
-}
-
-Time Fabric::transmit(WirePacket pkt) {
+Fabric::Booking Fabric::book(const WirePacket& pkt) {
   NMX_ASSERT_MSG(pkt.src_node != pkt.dst_node,
                  "network loopback: intra-node traffic must use Nemesis shm");
   const NicProfile& prof = profile(pkt.rail);
-  Nic& src = nic(pkt.src_node, pkt.rail);
-  Nic& dst = nic(pkt.dst_node, pkt.rail);
-  NMX_ASSERT_MSG(dst.rx != nullptr, "no rx handler at destination");
+  Nic& src = nics_[nic_index(pkt.src_node, pkt.rail)];
+  Nic& dst = nics_[nic_index(pkt.dst_node, pkt.rail)];
 
   Time occupancy = prof.occupancy(pkt.bytes);
   bool on_dead_rail = false;
@@ -89,20 +82,15 @@ Time Fabric::transmit(WirePacket pkt) {
     rec->metrics().counter("net.rail.tx_bytes", rail_label).add(pkt.bytes);
     if (on_dead_rail) rec->metrics().counter("net.fault.tx_on_dead_rail", rail_label).add(1);
   }
-  eng_.schedule_checked(delivery, [&dst, p = std::move(pkt)]() mutable { dst.rx(std::move(p)); });
-  return out.end;
+  return {out.end, delivery};
 }
 
 Time Fabric::egress_busy_until(int node, int rail) const {
-  NMX_ASSERT(node >= 0 && node < topo_.num_nodes);
-  NMX_ASSERT(rail >= 0 && rail < topo_.num_rails());
-  return nics_[static_cast<std::size_t>(node) * topo_.num_rails() + rail].egress.busy_until();
+  return nics_[nic_index(node, rail)].egress.busy_until();
 }
 
 Time Fabric::ingress_busy_until(int node, int rail) const {
-  NMX_ASSERT(node >= 0 && node < topo_.num_nodes);
-  NMX_ASSERT(rail >= 0 && rail < topo_.num_rails());
-  return nics_[static_cast<std::size_t>(node) * topo_.num_rails() + rail].ingress.busy_until();
+  return nics_[nic_index(node, rail)].ingress.busy_until();
 }
 
 Time Fabric::uncontended_time(int rail, std::size_t bytes) const {

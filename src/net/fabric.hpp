@@ -1,12 +1,14 @@
-// The simulated network fabric: per-node NICs on each rail, FIFO occupancy
-// on both the egress and ingress side (which is where NIC contention — a
-// motivating concern of the paper's introduction — emerges mechanistically),
-// and delivery of wire packets to registered receive handlers.
+// The simulated network fabric as a pure timing model: per-node NICs on each
+// rail, FIFO occupancy on both the egress and ingress side (which is where
+// NIC contention — a motivating concern of the paper's introduction —
+// emerges mechanistically). A transmission books both NICs and runs the
+// sender's arrival callback when the last byte lands. The packet's contents
+// never pass through the fabric: the callback carries them straight to the
+// destination process (see Endpoints).
 #pragma once
 
-#include <any>
 #include <cstddef>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -15,16 +17,41 @@
 
 namespace nmx::net {
 
-/// A packet on the wire. `payload` carries whatever the sending driver put
-/// in (header structs, aggregated packet lists); `bytes` is what the NIC
-/// actually times.
+/// What the NIC sees of a packet: where it goes and how many bytes it times.
 struct WirePacket {
   int src_node = -1;
   int dst_node = -1;
-  int dst_proc = -1;  ///< destination process (for per-node demultiplexing)
   int rail = -1;
   std::size_t bytes = 0;
-  std::any payload;
+};
+
+/// One cluster's delivery table: process rank -> the stack object that
+/// receives its packets. Send callbacks look the destination up here on
+/// arrival and hand it their typed packet directly.
+template <class Endpoint>
+class Endpoints {
+ public:
+  explicit Endpoints(int procs) : peers_(static_cast<std::size_t>(procs), nullptr) {}
+  Endpoints(const Endpoints&) = delete;  // arrival callbacks hold its address
+  Endpoints& operator=(const Endpoints&) = delete;
+
+  void add(int proc, Endpoint* ep) {
+    NMX_ASSERT_MSG(slot(proc) == nullptr, "proc endpoint registered twice");
+    peers_[static_cast<std::size_t>(proc)] = ep;
+  }
+  Endpoint& operator[](int proc) const {
+    Endpoint* ep = slot(proc);
+    NMX_ASSERT_MSG(ep != nullptr, "packet for unregistered process");
+    return *ep;
+  }
+
+ private:
+  Endpoint* slot(int proc) const {
+    NMX_ASSERT(proc >= 0 && static_cast<std::size_t>(proc) < peers_.size());
+    return peers_[static_cast<std::size_t>(proc)];
+  }
+
+  std::vector<Endpoint*> peers_;
 };
 
 /// One direction of a NIC: a FIFO resource that transfers occupy.
@@ -49,23 +76,16 @@ class Channel {
 
 class Fabric {
  public:
-  using RxHandler = std::function<void(WirePacket&&)>;
-
   Fabric(sim::Engine& eng, Topology topo);
 
   const Topology& topology() const { return topo_; }
   const NicProfile& profile(int rail) const;
 
-  /// Register the receive handler for (node, rail). Called at delivery time
-  /// on the engine thread. Exactly one handler per (node, rail).
-  // nmx-lint: engine-context (setup or engine callbacks; never from actor bodies)
-  void register_rx(int node, int rail, RxHandler h);
-
-  /// Queue `pkt` on the source node's NIC for `pkt.rail`. The receive
-  /// handler fires when the last byte lands (wire latency + occupancy +
-  /// any queueing behind earlier transfers on either NIC). Returns the time
-  /// the sending NIC finishes reading the buffer (local/egress completion) —
-  /// drivers use it to schedule their next submission.
+  /// Queue `pkt` on the source node's NIC for `pkt.rail`; `on_arrival` runs
+  /// when the last byte lands (wire latency + occupancy + any queueing behind
+  /// earlier transfers on either NIC). Returns the time the sending NIC
+  /// finishes reading the buffer (local/egress completion) — drivers use it
+  /// to schedule their next submission.
   ///
   /// Reserves NIC occupancy *at the current virtual time*: calling this from
   /// an actor body instead of a scheduled callback would book the channel
@@ -73,7 +93,12 @@ class Fabric {
   /// load probe that reads busy_until. nmx_lint's thread-discipline pass
   /// enforces the marker below.
   // nmx-lint: engine-context
-  Time transmit(WirePacket pkt);
+  template <typename OnArrival>
+  Time transmit(const WirePacket& pkt, OnArrival&& on_arrival) {
+    const Booking b = book(pkt);
+    eng_.schedule_checked(b.delivery, std::forward<OnArrival>(on_arrival));
+    return b.egress_end;
+  }
 
   /// Uncontended one-way transfer time on `rail` for `bytes` — what a
   /// network-sampling probe would measure on an idle machine.
@@ -116,9 +141,15 @@ class Fabric {
   struct Nic {
     Channel egress;
     Channel ingress;
-    RxHandler rx;
   };
-  Nic& nic(int node, int rail);
+  struct Booking {
+    Time egress_end;  ///< the sending NIC has read the buffer
+    Time delivery;    ///< the last byte has landed
+  };
+  std::size_t nic_index(int node, int rail) const;  ///< into nics_
+  /// Book egress and ingress occupancy for `pkt` (fault degradation and the
+  /// dead-rail counter included).
+  Booking book(const WirePacket& pkt);
 
   sim::Engine& eng_;
   Topology topo_;

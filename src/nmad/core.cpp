@@ -37,11 +37,11 @@ constexpr Time kNicCollLoopback = 0.3e-6;
 constexpr std::uint32_t kRdvRetryLimit = 10;
 }  // namespace
 
-Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc,
+Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<Core>& peers, int my_proc,
            Config cfg)
     : eng_(eng),
       fabric_(fabric),
-      router_(router),
+      peers_(peers),
       my_proc_(my_proc),
       my_node_(fabric.topology().node_of(my_proc)),
       cfg_(cfg),
@@ -66,7 +66,7 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int m
     }
     return l;
   });
-  router.register_proc(my_proc_, [this](net::WirePacket&& pkt) { rx_wire(std::move(pkt)); });
+  peers_.add(my_proc_, this);
   if (cfg_.fault_plan != nullptr) {
     // Rail death is reported synchronously by the local NIC at the death
     // instant (the listener fires for every core; cores not driving the rail
@@ -364,15 +364,13 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
   }
   eng_.schedule_in_checked(pre, [this, local_rail, dst, bytes, wm = std::move(wm),
                          notes = std::move(notes)]() mutable {
-    net::WirePacket pkt;
-    pkt.src_node = my_node_;
-    pkt.dst_node = fabric_.topology().node_of(dst);
-    pkt.dst_proc = dst;
-    pkt.rail = drivers_[static_cast<std::size_t>(local_rail)].fabric_rail;
-    pkt.bytes = bytes;
-    pkt.payload = std::move(wm);
-    const Time queued_from = std::max(eng_.now(), fabric_.egress_busy_until(my_node_, pkt.rail));
-    const Time egress = fabric_.transmit(std::move(pkt));
+    const int rail = drivers_[static_cast<std::size_t>(local_rail)].fabric_rail;
+    const Time queued_from = std::max(eng_.now(), fabric_.egress_busy_until(my_node_, rail));
+    const Time egress = fabric_.transmit(
+        net::WirePacket{my_node_, fabric_.topology().node_of(dst), rail, bytes},
+        [peers = &peers_, dst, rail, wm = std::move(wm)]() mutable {
+          (*peers)[dst].rx_wire(rail, std::move(wm));
+        });
     // Measured NIC occupancy (egress grant minus queueing) fed back into the
     // bandwidth model: silent rail degradation surfaces as a lower implied
     // beta, and the sampling layer re-learns it from this prediction error
@@ -483,8 +481,7 @@ void Core::rts_retry(Request* req) {
 // receive path
 // --------------------------------------------------------------------------
 
-void Core::rx_wire(net::WirePacket&& pkt) {
-  WireMsg& m = std::any_cast<WireMsg&>(pkt.payload);
+void Core::rx_wire(int fabric_rail, WireMsg&& m) {
   // NIC-offloaded collective control is consumed by the NIC unit itself: no
   // host matching, no deliver overhead, no progress gating — that autonomy
   // is the point of the Yu et al. offload. CollCtl always travels alone
@@ -498,7 +495,7 @@ void Core::rx_wire(net::WirePacket&& pkt) {
     }
     return;
   }
-  pending_rx_.push_back(RxItem{pkt.rail, std::move(m)});
+  pending_rx_.push_back(RxItem{fabric_rail, std::move(m)});
   if (progress_allowed()) {
     drain_rx();
   } else {
@@ -535,18 +532,18 @@ void Core::handle_wire(int fabric_rail, WireMsg m) {
       const sim::FaultPlan::EntryDecision dec =
           cfg_.fault_plan->entry_action(static_cast<int>(e.kind), src, my_proc_, eng_.now());
       obs::Recorder* rec = eng_.recorder();
-      const std::string kind_label = std::string("kind=") + Entry::kind_name(e.kind);
-      if (dec.action == sim::EntryAction::Drop) {
-        if (rec != nullptr) rec->metrics().counter("nmad.fault.dropped", kind_label).add(1);
-        continue;
+      if (rec != nullptr && dec.action != sim::EntryAction::Deliver) {
+        const char* name = dec.action == sim::EntryAction::Drop        ? "nmad.fault.dropped"
+                           : dec.action == sim::EntryAction::Duplicate ? "nmad.fault.duplicated"
+                                                                       : "nmad.fault.delayed";
+        rec->metrics().counter(name, std::string("kind=") + Entry::kind_name(e.kind)).add(1);
       }
+      if (dec.action == sim::EntryAction::Drop) continue;
       if (dec.action == sim::EntryAction::Duplicate) {
-        if (rec != nullptr) rec->metrics().counter("nmad.fault.duplicated", kind_label).add(1);
         Entry twin = e;
         dispatch_entry(src, fabric_rail, std::move(twin));
         // fall through: the original lands right behind its twin
       } else if (dec.action == sim::EntryAction::Delay) {
-        if (rec != nullptr) rec->metrics().counter("nmad.fault.delayed", kind_label).add(1);
         // Box the entry: a raw Entry capture (~150 bytes) would spill the
         // event slot's inline closure storage. One explicit allocation on
         // this cold fault path keeps the SmallFn-inline invariant intact.
@@ -722,12 +719,13 @@ std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granti
   // whatever share of kMixPriorBytes the decayed observation has not earned
   // yet. The rendezvous being granted is excluded — its bytes are exactly
   // what the sender is about to plan.
+  double beta_sum = 0.0;
+  for (const auto& rp : sampling_.rails()) beta_sum += rp.beta;
+  std::vector<double> weight;  // per-rail weights, sized on first use
   for (const auto& [key, rin] : rdv_in_) {
     if (key.first == granting_src && key.second == granting_rdv) continue;
     const std::size_t outstanding = rin.req != nullptr ? rin.req->bytes_outstanding : 0;
     if (outstanding == 0) continue;
-    double beta_sum = 0.0;
-    for (const auto& rp : sampling_.rails()) beta_sum += rp.beta;
     auto git = gates_.find(key.first);
     double obs_f = 0.0;  // decay factor at read time (state stays const here)
     double obs_total = 0.0;
@@ -737,7 +735,7 @@ std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granti
     }
     const double prior_mass =
         std::max(0.0, static_cast<double>(kMixPriorBytes) - obs_total);
-    std::vector<double> weight(drivers_.size(), 0.0);
+    weight.resize(drivers_.size());
     double total_w = 0.0;
     for (std::size_t r = 0; r < drivers_.size(); ++r) {
       double w = prior_mass * sampling_.rails()[r].beta / beta_sum;
@@ -1201,39 +1199,27 @@ void Core::nic_coll_send(int dst, std::uint64_t id, double value, std::uint32_t 
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->metrics().counter("nmad.coll.nic_msgs").add(1);
   }
-  if (fabric_.topology().node_of(dst) == my_node_) {
-    // Co-located ranks share the node's NICs: the combine step between them
-    // is NIC-internal — no wire, no egress occupancy. Delivered through the
-    // router straight into the peer's NIC unit.
-    WireMsg wm;
-    wm.src_proc = my_proc_;
-    wm.dst_proc = dst;
-    Entry e;
-    e.kind = Entry::Kind::CollCtl;
-    e.dst_proc = dst;
-    e.rdv_id = id;
-    e.coll_value = value;
-    e.coll_ctl = ctl;
-    wm.entries.push_back(std::move(e));
-    net::WirePacket pkt;
-    pkt.src_node = my_node_;
-    pkt.dst_node = my_node_;
-    pkt.dst_proc = dst;
-    pkt.rail = drivers_[0].fabric_rail;
-    pkt.bytes = wm.wire_bytes();
-    pkt.payload = std::move(wm);
-    eng_.schedule_in_checked(kNicCollLoopback,
-                             [this, bp = std::make_unique<net::WirePacket>(std::move(pkt))] {
-                               router_.deliver_local(std::move(*bp));
-                             });
-    return;
-  }
   Entry e;
   e.kind = Entry::Kind::CollCtl;
   e.dst_proc = dst;
   e.rdv_id = id;
   e.coll_value = value;
   e.coll_ctl = ctl;
+  if (fabric_.topology().node_of(dst) == my_node_) {
+    // Co-located ranks share the node's NICs: the combine step between them
+    // is NIC-internal — no wire, no egress occupancy, straight into the
+    // peer's NIC unit.
+    WireMsg wm;
+    wm.src_proc = my_proc_;
+    wm.dst_proc = dst;
+    wm.entries.push_back(std::move(e));
+    const int rail = drivers_[0].fabric_rail;
+    eng_.schedule_in_checked(kNicCollLoopback,
+                             [peers = &peers_, dst, rail, wm = std::move(wm)]() mutable {
+                               (*peers)[dst].rx_wire(rail, std::move(wm));
+                             });
+    return;
+  }
   nic_txq_.push_back(std::move(e));
   drain_nic_txq();
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 #include "nmad/sampling.hpp"
 #include "nmad/strategy.hpp"
 #include "nmad/types.hpp"
@@ -41,7 +40,10 @@ struct ProbeInfo {
 
 class Core {
  public:
-  Core(sim::Engine& eng, net::Fabric& fabric, net::ProcRouter& router, int my_proc, Config cfg);
+  /// Registers itself in `peers`, where every core's send path finds the
+  /// destination process.
+  Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<Core>& peers, int my_proc,
+       Config cfg);
 
   int proc() const { return my_proc_; }
   const Config& config() const { return cfg_; }
@@ -79,6 +81,10 @@ class Core {
   void set_on_unexpected(std::function<void(const ProbeInfo&)> fn) {
     on_unexpected_ = std::move(fn);
   }
+
+  /// Arrival entry point: wire message `m` lands at this process from
+  /// `fabric_rail`. Run by the sender's fabric arrival callback.
+  void rx_wire(int fabric_rail, WireMsg&& m);
 
   // --- progress control ---------------------------------------------------
 
@@ -210,7 +216,6 @@ class Core {
   /// processing cost instead of host injection + copy overheads.
   void submit(int local_rail, WireMsg wm, bool nic_direct = false);
   void on_egress(int local_rail, std::vector<Note> notes);
-  void rx_wire(net::WirePacket&& pkt);
   void drain_rx();
   void handle_wire(int fabric_rail, WireMsg m);
   /// Deliver one wire entry to its protocol handler (post fault filtering).
@@ -295,7 +300,7 @@ class Core {
 
   sim::Engine& eng_;
   net::Fabric& fabric_;
-  net::ProcRouter& router_;
+  net::Endpoints<Core>& peers_;
   int my_proc_;
   int my_node_;
   Config cfg_;

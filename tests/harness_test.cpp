@@ -108,10 +108,10 @@ TEST(NmadRaw, StandaloneLatencyIs1p8us) {
   sim::Engine eng;
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile()});
   net::Fabric fabric(eng, topo);
-  net::ProcRouter r0(fabric, 0), r1(fabric, 1);
+  net::Endpoints<nmad::Core> peers(topo.num_procs());
   nmad::Config cfg;
-  nmad::Core a(eng, fabric, r0, 0, cfg);
-  nmad::Core b(eng, fabric, r1, 1, cfg);
+  nmad::Core a(eng, fabric, peers, 0, cfg);
+  nmad::Core b(eng, fabric, peers, 1, cfg);
   a.enter_progress();
   b.enter_progress();
 

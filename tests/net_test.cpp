@@ -1,13 +1,11 @@
 // Network substrate tests: channel reservation, uncontended transfer math,
-// NIC contention (egress and ingress serialization), topology mappings and
-// per-process routing.
+// NIC contention (egress and ingress serialization) and topology mappings.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "net/calibration.hpp"
 #include "net/fabric.hpp"
-#include "net/router.hpp"
 
 namespace nmx::net {
 namespace {
@@ -80,25 +78,14 @@ struct FabricFixture : ::testing::Test {
   Fabric fabric{eng, topo};
   std::vector<std::pair<Time, int>> arrivals;  // (time, src_node)
 
-  void listen(int node) {
-    fabric.register_rx(node, 0, [this](WirePacket&& p) {
-      arrivals.emplace_back(eng.now(), p.src_node);
-    });
-  }
-  WirePacket pkt(int src, int dst, std::size_t bytes) {
-    WirePacket p;
-    p.src_node = src;
-    p.dst_node = dst;
-    p.dst_proc = dst;
-    p.rail = 0;
-    p.bytes = bytes;
-    return p;
+  void send(int src, int dst, std::size_t bytes) {
+    fabric.transmit(WirePacket{src, dst, 0, bytes},
+                    [this, src] { arrivals.emplace_back(eng.now(), src); });
   }
 };
 
 TEST_F(FabricFixture, UncontendedTransferMatchesModel) {
-  listen(1);
-  fabric.transmit(pkt(0, 1, 4096));
+  send(0, 1, 4096);
   eng.run();
   ASSERT_EQ(arrivals.size(), 1u);
   const NicProfile& prof = fabric.profile(0);
@@ -107,9 +94,8 @@ TEST_F(FabricFixture, UncontendedTransferMatchesModel) {
 }
 
 TEST_F(FabricFixture, EgressSerializesSameSender) {
-  listen(1);
-  fabric.transmit(pkt(0, 1, 1 << 20));
-  fabric.transmit(pkt(0, 1, 1 << 20));
+  send(0, 1, 1 << 20);
+  send(0, 1, 1 << 20);
   eng.run();
   ASSERT_EQ(arrivals.size(), 2u);
   const Time occupancy = fabric.profile(0).occupancy(1 << 20);
@@ -119,9 +105,8 @@ TEST_F(FabricFixture, EgressSerializesSameSender) {
 TEST_F(FabricFixture, IngressSerializesDifferentSenders) {
   // Two senders to one node: the receiving NIC is the bottleneck — this is
   // the many-processes-per-node contention of the NAS testbed.
-  listen(2);
-  fabric.transmit(pkt(0, 2, 1 << 20));
-  fabric.transmit(pkt(1, 2, 1 << 20));
+  send(0, 2, 1 << 20);
+  send(1, 2, 1 << 20);
   eng.run();
   ASSERT_EQ(arrivals.size(), 2u);
   const Time occupancy = fabric.profile(0).occupancy(1 << 20);
@@ -129,45 +114,16 @@ TEST_F(FabricFixture, IngressSerializesDifferentSenders) {
 }
 
 TEST_F(FabricFixture, DistinctPairsDoNotContend) {
-  listen(1);
-  listen(2);
-  fabric.transmit(pkt(0, 1, 1 << 20));
-  fabric.transmit(pkt(2, 1, 64));  // tiny message into the same ingress: queues
+  send(0, 1, 1 << 20);
+  send(2, 1, 64);  // tiny message into the same ingress: queues
   eng.run();
   // Both arrive; order by completion time.
   ASSERT_EQ(arrivals.size(), 2u);
 }
 
 TEST_F(FabricFixture, LoopbackIsRejected) {
-  EXPECT_THROW(fabric.transmit(pkt(1, 1, 64)), AssertionError);
-}
-
-TEST(Router, DispatchesByDestinationProcess) {
-  sim::Engine eng;
-  Topology topo = Topology::blocked(2, 4, {ib_profile()});  // procs 0,1 | 2,3
-  Fabric fabric(eng, topo);
-  ProcRouter r0(fabric, 0);
-  ProcRouter r1(fabric, 1);
-  int got2 = 0, got3 = 0;
-  r1.register_proc(2, [&](WirePacket&&) { ++got2; });
-  r1.register_proc(3, [&](WirePacket&&) { ++got3; });
-  r0.register_proc(0, [](WirePacket&&) {});
-  r0.register_proc(1, [](WirePacket&&) {});
-
-  WirePacket p;
-  p.src_node = 0;
-  p.dst_node = 1;
-  p.rail = 0;
-  p.bytes = 64;
-  p.dst_proc = 2;
-  fabric.transmit(p);
-  p.dst_proc = 3;
-  fabric.transmit(p);
-  p.dst_proc = 3;
-  fabric.transmit(std::move(p));
-  eng.run();
-  EXPECT_EQ(got2, 1);
-  EXPECT_EQ(got3, 2);
+  EXPECT_THROW(send(1, 1, 64), AssertionError);
+  EXPECT_EQ(fabric.packets_sent(), 0u);
 }
 
 TEST(Profiles, PaperCalibration) {

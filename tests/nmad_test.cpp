@@ -8,7 +8,6 @@
 #include <numeric>
 #include <string>
 
-#include "net/router.hpp"
 #include "nmad/core.hpp"
 
 namespace nmx::nmad {
@@ -255,8 +254,7 @@ struct CoreFixture : ::testing::Test {
   sim::Engine eng;
   net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
   net::Fabric fabric{eng, topo};
-  net::ProcRouter router0{fabric, 0};
-  net::ProcRouter router1{fabric, 1};
+  net::Endpoints<Core> peers{topo.num_procs()};
   Config cfg;
 
   std::unique_ptr<Core> a;  // proc 0
@@ -265,8 +263,8 @@ struct CoreFixture : ::testing::Test {
   void make_cores(StrategyKind strat = StrategyKind::Aggreg, std::vector<int> rails = {0}) {
     cfg.strategy = strat;
     cfg.rails = std::move(rails);
-    a = std::make_unique<Core>(eng, fabric, router0, 0, cfg);
-    b = std::make_unique<Core>(eng, fabric, router1, 1, cfg);
+    a = std::make_unique<Core>(eng, fabric, peers, 0, cfg);
+    b = std::make_unique<Core>(eng, fabric, peers, 1, cfg);
     // Always-in-progress processes (the MPI layer provides the bracketing).
     a->enter_progress();
     b->enter_progress();
@@ -380,6 +378,52 @@ TEST_F(CoreFixture, CostModelRendezvousDeliversInQuantumChunks) {
   EXPECT_GE(fabric.packets_sent() - before, 6u);
 }
 
+TEST(NmadEndpoints, EachProcessReceivesOnlyItsOwnPackets) {
+  // Procs 2 and 3 share node 1's NIC: every packet proc 0 sends there must
+  // land at the process it names, through the cluster's delivery table.
+  sim::Engine eng;
+  const net::Topology topo = net::Topology::blocked(2, 4, {net::ib_profile()});  // 0,1 | 2,3
+  net::Fabric fabric(eng, topo);
+  net::Endpoints<Core> peers(topo.num_procs());
+  Config cfg;
+  Core p0(eng, fabric, peers, 0, cfg);
+  Core p2(eng, fabric, peers, 2, cfg);
+  Core p3(eng, fabric, peers, 3, cfg);
+  for (Core* c : {&p0, &p2, &p3}) c->enter_progress();
+  EXPECT_THROW(std::make_unique<Core>(eng, fabric, peers, 2, cfg), AssertionError);
+
+  const std::vector<std::byte> to2(48, std::byte{0x22});
+  const std::vector<std::byte> to3a(64, std::byte{0x3a});
+  const std::vector<std::byte> to3b(80, std::byte{0x3b});
+  p0.isend(2, 7, to2.data(), to2.size());
+  p0.isend(3, 7, to3a.data(), to3a.size());
+  p0.isend(3, 7, to3b.data(), to3b.size());
+  eng.run();
+  EXPECT_EQ(p2.unexpected_count(), 1u);
+  EXPECT_EQ(p3.unexpected_count(), 2u);
+  std::vector<std::byte> got2(128), got3a(128), got3b(128);
+  Request* r2 = p2.irecv(0, 7, got2.data(), got2.size());
+  Request* r3a = p3.irecv(0, 7, got3a.data(), got3a.size());
+  Request* r3b = p3.irecv(0, 7, got3b.data(), got3b.size());
+  eng.run();
+  ASSERT_TRUE(r2->completed && r3a->completed && r3b->completed);
+  got2.resize(r2->received);
+  got3a.resize(r3a->received);
+  got3b.resize(r3b->received);
+  EXPECT_EQ(got2, to2);
+  EXPECT_EQ(got3a, to3a);
+  EXPECT_EQ(got3b, to3b);
+
+  // Proc 1 never registered an endpoint: a packet for it fails at arrival.
+  p2.isend(1, 7, to2.data(), to2.size());
+  try {
+    eng.run();
+    ADD_FAILURE() << "packet for proc 1 was delivered";
+  } catch (const AssertionError& err) {
+    EXPECT_NE(err.message.find("unregistered process"), std::string::npos) << err.message;
+  }
+}
+
 TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
   // Same transfer, both strategies, each on a fresh fabric: on an idle
   // fabric the cost model's split degenerates to the sampled one, so
@@ -388,12 +432,12 @@ TEST(CostModelCore, MatchesSplitBalanceOnIdleFabric) {
     sim::Engine eng;
     net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
     net::Fabric fabric(eng, topo);
-    net::ProcRouter r0(fabric, 0), r1(fabric, 1);
+    net::Endpoints<Core> peers(topo.num_procs());
     Config cfg;
     cfg.strategy = k;
     cfg.rails = {0, 1};
-    Core a(eng, fabric, r0, 0, cfg);
-    Core b(eng, fabric, r1, 1, cfg);
+    Core a(eng, fabric, peers, 0, cfg);
+    Core b(eng, fabric, peers, 1, cfg);
     a.enter_progress();
     b.enter_progress();
     const std::size_t big = 4_MiB;
@@ -668,9 +712,7 @@ struct RdvHardeningFixture : ::testing::Test {
   // Three procs on three nodes so a third party can forge grants.
   net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
   net::Fabric fabric{eng, topo};
-  net::ProcRouter router0{fabric, 0};
-  net::ProcRouter router1{fabric, 1};
-  net::ProcRouter router2{fabric, 2};
+  net::Endpoints<Core> peers{topo.num_procs()};
   Config cfg;
   std::unique_ptr<Core> a;  // proc 0: rendezvous sender under attack
   std::unique_ptr<Core> b;  // proc 1: the legitimate destination
@@ -678,17 +720,18 @@ struct RdvHardeningFixture : ::testing::Test {
 
   void make_cores() {
     cfg.rails = {0};
-    a = std::make_unique<Core>(eng, fabric, router0, 0, cfg);
-    b = std::make_unique<Core>(eng, fabric, router1, 1, cfg);
-    c = std::make_unique<Core>(eng, fabric, router2, 2, cfg);
+    a = std::make_unique<Core>(eng, fabric, peers, 0, cfg);
+    b = std::make_unique<Core>(eng, fabric, peers, 1, cfg);
+    c = std::make_unique<Core>(eng, fabric, peers, 2, cfg);
     a->enter_progress();
     b->enter_progress();
     c->enter_progress();
   }
 
   /// Inject a forged CTS claiming to grant rendezvous `rdv_id`, sent by
-  /// `src_proc` to proc 0 — bypassing any Core so the wire contents are
-  /// entirely under the test's control.
+  /// `src_proc` to proc 0 — bypassing any Core's send path so the wire
+  /// contents are entirely under the test's control. It still crosses the
+  /// fabric and lands through proc 0's arrival entry point.
   void forge_cts(int src_proc, std::uint64_t rdv_id) {
     WireMsg wm;
     wm.src_proc = src_proc;
@@ -698,14 +741,8 @@ struct RdvHardeningFixture : ::testing::Test {
     cts.dst_proc = 0;
     cts.rdv_id = rdv_id;
     wm.entries.push_back(std::move(cts));
-    net::WirePacket pkt;
-    pkt.src_node = topo.node_of(src_proc);
-    pkt.dst_node = topo.node_of(0);
-    pkt.dst_proc = 0;
-    pkt.rail = 0;
-    pkt.bytes = wm.wire_bytes();
-    pkt.payload = std::move(wm);
-    fabric.transmit(std::move(pkt));
+    const net::WirePacket hdr{topo.node_of(src_proc), topo.node_of(0), 0, wm.wire_bytes()};
+    fabric.transmit(hdr, [this, wm = std::move(wm)]() mutable { a->rx_wire(0, std::move(wm)); });
   }
 
   std::string run_expecting_assert() {

@@ -13,9 +13,11 @@ struct Packet {
 };
 
 struct Fabric {
-  /// Books NIC occupancy at the current virtual time.
+  /// Books NIC occupancy at the current virtual time; `on_arrival` runs
+  /// when the packet lands.
   // nmx-lint: engine-context
-  double transmit(Packet) { return 0.0; }
+  template <typename F>
+  double transmit(Packet, F&&) { return 0.0; }
 };
 
 struct Actor {
@@ -37,7 +39,7 @@ struct Engine {
 /// driver's software pre-cost has elapsed, bypassing the event queue.
 inline void actor_touches_nic(Engine& eng, Fabric& fab) {
   eng.spawn("sender", [&fab](Actor&) {
-    fab.transmit(Packet{});  // EXPECT: thread-discipline
+    fab.transmit(Packet{}, [] {});  // EXPECT: thread-discipline
   });
 }
 

@@ -13,7 +13,8 @@ struct Packet {
 
 struct Fabric {
   // nmx-lint: engine-context
-  double transmit(Packet) { return 0.0; }
+  template <typename F>
+  double transmit(Packet, F&&) { return 0.0; }
 };
 
 struct Actor {
@@ -34,7 +35,7 @@ struct Engine {
 /// Engine callbacks own the fabric: transmit from a scheduled closure is the
 /// intended shape.
 inline void engine_callback_transmits(Engine& eng, Fabric& fab) {
-  eng.schedule_in_checked(1.0, [&fab] { fab.transmit(Packet{}); });
+  eng.schedule_in_checked(1.0, [&fab] { fab.transmit(Packet{}, [] {}); });
 }
 
 /// An actor that routes NIC work through the event queue and blocks in its
@@ -42,7 +43,7 @@ inline void engine_callback_transmits(Engine& eng, Fabric& fab) {
 /// inside the nested schedule-lambda (innermost context wins).
 inline void actor_routes_through_queue(Engine& eng, Fabric& fab) {
   eng.spawn("rank0", [&eng, &fab](Actor& self) {
-    eng.schedule_in_checked(0.5, [&fab] { fab.transmit(Packet{}); });
+    eng.schedule_in_checked(0.5, [&fab] { fab.transmit(Packet{}, [] {}); });
     self.block_until(1.0);
   });
 }

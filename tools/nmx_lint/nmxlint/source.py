@@ -248,12 +248,14 @@ class SourceFile:
 
     def _declared_fn_after(self, marker_line: int) -> Optional[str]:
         """Name of the function declared on the first non-blank code line
-        after `marker_line` (the identifier directly before a '(')."""
+        after `marker_line` (the identifier directly before a '('). A
+        `template <...>` line in between is skipped, so a marker may sit
+        above a function template."""
         for line in range(marker_line + 1, min(marker_line + 4, self.num_lines() + 1)):
             start = self._line_starts[line - 1]
             end = self.text.find("\n", start)
             code_line = self.code[start:(len(self.code) if end < 0 else end)]
-            if not code_line.strip():
+            if not code_line.strip() or re.match(r"\s*template\s*<", code_line):
                 continue
             m = re.search(r"(\w+)\s*\(", code_line)
             return m.group(1) if m else None
