@@ -646,15 +646,16 @@ std::optional<mpi::Status> Ch3Process::iprobe(int src, int tag, int context) {
 }
 
 mpi::TxRequest* Ch3Process::nic_coll(std::uint64_t coll_id, int parent,
-                                     const std::vector<int>& children, int op, double* inout) {
+                                     std::span<const int> children, int op, double* inout) {
   MpidRequest* req = new_request(MpidRequest::Kind::Recv);
   req->peer = parent;
   req->len = sizeof(double);
-  core_->nic_coll_post(coll_id, parent, children, *inout, op, [req, inout](double result) {
-    *inout = result;
-    req->status.count = sizeof(double);
-    req->complete_and_wake();
-  });
+  core_->nic_coll_post(coll_id, parent, {children.begin(), children.end()}, *inout, op,
+                       [req, inout](double result) {
+                         *inout = result;
+                         req->status.count = sizeof(double);
+                         req->complete_and_wake();
+                       });
   return req;
 }
 

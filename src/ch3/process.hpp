@@ -70,7 +70,7 @@ class Ch3Process final : public mpi::Transport {
   /// NIC-offloaded collective combine: forwarded to the NewMadeleine core's
   /// NIC unit. The request completes from the NIC context — no host matching,
   /// no progress gating (the offload the Yu et al. protocol models).
-  mpi::TxRequest* nic_coll(std::uint64_t coll_id, int parent, const std::vector<int>& children,
+  mpi::TxRequest* nic_coll(std::uint64_t coll_id, int parent, std::span<const int> children,
                            int op, double* inout) override;
 
   // --- introspection ------------------------------------------------------

@@ -1,9 +1,11 @@
 #include "coll/coll.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "common/assert.hpp"
@@ -53,7 +55,7 @@ constexpr int kTagA2aWin = tag(CollOp::Alltoall, 3);          // + round
 constexpr int kTagReduce = tag(CollOp::Reduce, 0);
 constexpr int kTagGather = tag(CollOp::Gather, 0);
 constexpr int kTagScatter = tag(CollOp::Scatter, 0);
-constexpr int kTagAllgather = tag(CollOp::Allgather, 0);      // + step
+constexpr int kTagAllgather = tag(CollOp::Allgather, 0);      // + round (Bruck)
 constexpr int kTagAlltoallv = tag(CollOp::Alltoallv, 0);      // + round
 constexpr int kTagScan = tag(CollOp::Scan, 0);
 
@@ -82,6 +84,18 @@ struct Engine::Blocks {
     return counts != nullptr ? counts[static_cast<std::size_t>(b)] : off(b + 1) - off(b);
   }
 };
+
+/// Children of one tree vertex, ascending, without a heap allocation per
+/// call: a binomial vertex has at most one child per bit of an int rank, a
+/// k-ary vertex at most kKary.
+struct Engine::Kids {
+  std::array<int, 31> v{};
+  int n = 0;
+
+  void push(int k) { v[static_cast<std::size_t>(n++)] = k; }
+  std::span<const int> list() const { return {v.data(), static_cast<std::size_t>(n)}; }
+};
+static_assert(kKary <= 31);
 
 const char* to_string(Algo a) {
   switch (a) {
@@ -141,20 +155,20 @@ void Engine::phase_end(mpi::Comm& c, std::uint64_t sp, std::size_t bytes) {
   c.span_end(obs::Cat::Coll, sp, bytes);
 }
 
-int Engine::tree_edges(int vr, int size, int arity, std::vector<int>* children) {
-  children->clear();
+int Engine::tree_edges(int vr, int size, int arity, Kids* children) {
+  children->n = 0;
   if (arity <= 0) {
     // Binomial: parent clears vr's lowest set bit; children ascend from +1.
     int lowbit = vr == 0 ? 1 : (vr & -vr);
     if (vr == 0) {
       while (lowbit < size) lowbit <<= 1;
     }
-    for (int m = 1; m < lowbit && vr + m < size; m <<= 1) children->push_back(vr + m);
+    for (int m = 1; m < lowbit && vr + m < size; m <<= 1) children->push(vr + m);
     return vr == 0 ? -1 : vr - lowbit;
   }
   for (int j = 1; j <= arity; ++j) {
     const int kid = vr * arity + j;
-    if (kid < size) children->push_back(kid);
+    if (kid < size) children->push(kid);
   }
   return vr == 0 ? -1 : (vr - 1) / arity;
 }
@@ -166,13 +180,12 @@ bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op, int root) {
   const std::uint64_t id =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx(c))) << 32) | c.next_coll_id_++;
   const int vr = (c.rank_ - root + c.size_) % c.size_;
-  std::vector<int> kids;
+  Kids kids;
   const int parent = tree_edges(vr, c.size_, 0, &kids);
-  std::vector<int> world_kids;
-  world_kids.reserve(kids.size());
-  for (const int k : kids) world_kids.push_back(c.global((k + root) % c.size_));
+  Kids world_kids;
+  for (const int k : kids.list()) world_kids.push(c.global((k + root) % c.size_));
   const int world_parent = parent >= 0 ? c.global((parent + root) % c.size_) : -1;
-  mpi::TxRequest* r = c.tx_.nic_coll(id, world_parent, world_kids, op, value);
+  mpi::TxRequest* r = c.tx_.nic_coll(id, world_parent, world_kids.list(), op, value);
   if (r == nullptr) return false;  // no NIC unit on this stack: host fallback
   c.wait_release(r);
   return true;
@@ -236,14 +249,14 @@ void Engine::barrier_dissemination(mpi::Comm& c) {
 }
 
 void Engine::barrier_tree(mpi::Comm& c, int arity) {
-  std::vector<int> kids;
+  Kids kids;
   const int parent = tree_edges(c.rank_, c.size_, arity, &kids);
-  for (const int k : kids) recv(c, nullptr, 0, k, kTagBarrierTree);
+  for (const int k : kids.list()) recv(c, nullptr, 0, k, kTagBarrierTree);
   if (parent >= 0) {
     send(c, nullptr, 0, parent, kTagBarrierTree);
     recv(c, nullptr, 0, parent, kTagBarrierTree + 1);
   }
-  for (const int k : kids) send(c, nullptr, 0, k, kTagBarrierTree + 1);
+  for (const int k : kids.list()) send(c, nullptr, 0, k, kTagBarrierTree + 1);
 }
 
 void Engine::barrier_ring(mpi::Comm& c) {
@@ -296,12 +309,13 @@ void Engine::bcast(mpi::Comm& c, void* buf, std::size_t len, int root) {
 void Engine::bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity,
                         int tag) {
   const int vr = (c.rank_ - root + c.size_) % c.size_;
-  std::vector<int> kids;
+  Kids kids;
   const int parent = tree_edges(vr, c.size_, arity, &kids);
   if (parent >= 0) recv(c, buf, len, (parent + root) % c.size_, tag);
   // Largest subtree first (binomial kids ascend, so iterate in reverse): the
   // deep branches start flowing before the leaves.
-  for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+  const std::span<const int> down = kids.list();
+  for (auto it = down.rbegin(); it != down.rend(); ++it) {
     send(c, buf, len, (*it + root) % c.size_, tag);
   }
 }
@@ -399,14 +413,15 @@ void Engine::allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t c
 void Engine::reduce_tree(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
                          const ReduceFn& fold, int root, int arity, int tag) {
   const int P = c.size_;
-  std::vector<int> kids;
+  const std::size_t bytes = elem * count;
+  Kids kids;
   const int parent = tree_edges((c.rank_ - root + P) % P, P, arity, &kids);
-  std::vector<std::byte> tmp(elem * count);
-  for (const int k : kids) {
-    recv(c, tmp.data(), tmp.size(), (k + root) % P, tag);
+  std::vector<std::byte> tmp(kids.n > 0 ? bytes : 0);  // leaves receive nothing
+  for (const int k : kids.list()) {
+    recv(c, tmp.data(), bytes, (k + root) % P, tag);
     fold(data, tmp.data(), count);
   }
-  if (parent >= 0) send(c, data, elem * count, (parent + root) % P, tag);
+  if (parent >= 0) send(c, data, bytes, (parent + root) % P, tag);
 }
 
 void Engine::allreduce_recdbl(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
@@ -546,12 +561,25 @@ void Engine::scatter(mpi::Comm& c, const void* sendbuf, std::size_t block, void*
 }
 
 void Engine::allgather(mpi::Comm& c, const void* sendbuf, std::size_t block, void* recvbuf) {
+  // Bruck et al., as MPICH2's short-message allgather, in place: block i
+  // holds rank (rank + i) % P's contribution. Each round sends the `have`
+  // blocks held so far to rank - have and appends the ones rank + have holds,
+  // so ⌈log₂P⌉ rounds suffice for any P (the last moves only the P - have
+  // missing). One rotation then puts every block at its rank's index.
   auto* out = static_cast<std::byte*>(recvbuf);
-  std::memcpy(out + static_cast<std::size_t>(c.rank_) * block, sendbuf, block);
-  if (c.size_ == 1) return;
-  const std::size_t bytes = block * static_cast<std::size_t>(c.size_);
+  std::memcpy(out, sendbuf, block);
+  const int P = c.size_;
+  if (P == 1) return;
+  const std::size_t bytes = block * static_cast<std::size_t>(P);
   const std::uint64_t sp = phase_begin(c, CollOp::Allgather, Algo::Auto, bytes);
-  ring_allgather(c, out, Blocks::even(c.size_, c.size_, block), c.rank_, kTagAllgather);
+  int round = 0;
+  for (int have = 1; have < P; have *= 2, ++round) {
+    const std::size_t len = static_cast<std::size_t>(std::min(have, P - have)) * block;
+    const int t = kTagAllgather + (round & 15);
+    sendrecv(c, out, len, (c.rank_ - have + P) % P, t,
+             out + static_cast<std::size_t>(have) * block, len, (c.rank_ + have) % P, t);
+  }
+  std::rotate(out, out + static_cast<std::size_t>((P - c.rank_) % P) * block, out + bytes);
   phase_end(c, sp, bytes);
 }
 

@@ -2,8 +2,9 @@
 // MPI collective behind mpi::Comm (barrier, bcast, allreduce, alltoall with
 // selectable algorithms — binomial and k-ary trees, ring, recursive
 // doubling, and a modeled NIC-offloaded combine tree (Yu/Buntinas/Graham/
-// Panda); reduce, gather, scatter, allgather, alltoallv and scan with one
-// algorithm each), shared by all stacks.
+// Panda); reduce, gather, scatter, allgather (Bruck's ⌈log₂P⌉ rounds, as
+// MPICH2 runs short allgathers), alltoallv and scan with one algorithm
+// each), shared by all stacks.
 //
 // Every host-tree edge is an ordinary transport send, so its rail choice and
 // rendezvous chunking route through the NewMadeleine cost model
@@ -22,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace nmx::mpi {
 class Comm;
@@ -114,9 +114,11 @@ class Engine {
   static std::uint64_t phase_begin(mpi::Comm& c, obs::CollOp op, Algo algo, std::size_t bytes);
   static void phase_end(mpi::Comm& c, std::uint64_t sp, std::size_t bytes);
 
+  /// Fixed-capacity child list of one tree vertex (defined in coll.cpp).
+  struct Kids;
   /// Binomial (arity == 0) or k-ary parent/children of `vr` in a tree rooted
   /// at virtual rank 0; children ascending.
-  static int tree_edges(int vr, int size, int arity, std::vector<int>* children);
+  static int tree_edges(int vr, int size, int arity, Kids* children);
 
   /// NIC combine tree rooted at `root`: returns false when the transport has
   /// no NIC unit (caller falls back to a host tree).

@@ -7,20 +7,22 @@ namespace nmx::mpi {
 
 Comm Comm::split(int color, int key) {
   // Gather every member's (color, key): an allgather keeps this collective
-  // deterministic, then each rank derives its group locally.
-  std::vector<std::int64_t> mine{color, key, rank_};
-  std::vector<std::int64_t> all(static_cast<std::size_t>(size_) * 3);
-  allgather(mine.data(), 3 * sizeof(std::int64_t), all.data());
+  // deterministic, then each rank derives its group locally. A member's
+  // parent rank is its block index.
+  struct Rec {
+    std::int32_t color, key;
+  };
+  const Rec mine{color, key};
+  std::vector<Rec> all(static_cast<std::size_t>(size_));
+  allgather(&mine, sizeof(Rec), all.data());
 
   struct Member {
     int key, parent_rank;
   };
   std::vector<Member> members;
   for (int p = 0; p < size_; ++p) {
-    if (all[static_cast<std::size_t>(p) * 3] == color) {
-      members.push_back(Member{static_cast<int>(all[static_cast<std::size_t>(p) * 3 + 1]),
-                               static_cast<int>(all[static_cast<std::size_t>(p) * 3 + 2])});
-    }
+    const Rec& r = all[static_cast<std::size_t>(p)];
+    if (r.color == color) members.push_back(Member{r.key, p});
   }
   std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
     return std::tie(a.key, a.parent_rank) < std::tie(b.key, b.parent_rank);
@@ -39,9 +41,7 @@ Comm Comm::split(int color, int key) {
   // blocks so sibling communicators cannot cross-match.
   NMX_ASSERT_MSG(color >= 0, "negative split colors are not supported");
   int max_color = 0;
-  for (int p = 0; p < size_; ++p) {
-    max_color = std::max(max_color, static_cast<int>(all[static_cast<std::size_t>(p) * 3]));
-  }
+  for (const Rec& r : all) max_color = std::max<int>(max_color, r.color);
   sub.ctx_base_ = ctx_base_ + next_split_ctx_ + color * 16;
   NMX_ASSERT_MSG(sub.ctx_base_ + 16 < 0x7ffffff0, "context space exhausted");
   next_split_ctx_ += 16 * (1 + max_color);

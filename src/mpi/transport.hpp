@@ -11,8 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
@@ -111,7 +111,7 @@ class Transport {
   /// result stored back into `*inout` — or nullptr when the stack has no
   /// NIC collective unit (the collective layer falls back to host trees).
   virtual TxRequest* nic_coll(std::uint64_t /*coll_id*/, int /*parent*/,
-                              const std::vector<int>& /*children*/, int /*op*/,
+                              std::span<const int> /*children*/, int /*op*/,
                               double* /*inout*/) {
     return nullptr;
   }

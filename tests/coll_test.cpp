@@ -228,6 +228,57 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// Allgather: Bruck's rounds at every size, short records (split's 8 B) and
+// blocks whose total passes MPICH2's 80 KiB short-message limit. The payload
+// oracle checks that the final rotation puts every block at its rank, and
+// each rank's MsgSend spans count the rounds: ⌈log₂P⌉, not the ring's P−1.
+// ---------------------------------------------------------------------------
+
+class AllgatherBruck : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(AllgatherBruck, BlocksLandAtTheirRankInLog2Rounds) {
+  const auto [P, block] = GetParam();
+  const auto n = static_cast<std::size_t>(P);
+  auto byte_of = [](int rank, std::size_t i) {
+    return static_cast<std::byte>((static_cast<std::size_t>(rank) * 131 + i * 7) & 0xff);
+  };
+
+  mpi::ClusterConfig cfg = coll_cfg(P, coll::Algo::Auto);
+  cfg.trace = true;
+  mpi::Cluster cluster(cfg);
+  cluster.run([&](mpi::Comm& c) {
+    std::vector<std::byte> own(block), all(block * n, std::byte{0xee});
+    for (std::size_t i = 0; i < block; ++i) own[i] = byte_of(c.rank(), i);
+    c.allgather(own.data(), block, all.data());
+    for (int p = 0; p < P; ++p) {
+      for (std::size_t i = 0; i < block; ++i) {
+        ASSERT_EQ(all[static_cast<std::size_t>(p) * block + i], byte_of(p, i))
+            << "rank " << c.rank() << ": byte " << i << " of block " << p;
+      }
+    }
+  });
+
+  int rounds = 0;
+  while ((1 << rounds) < P) ++rounds;
+  std::vector<int> sends(n, 0);
+  for (const obs::Record& rec : cluster.recorder()->records()) {
+    if (rec.cat == obs::Cat::MsgSend && rec.ph == obs::Ph::Begin) {
+      ++sends[static_cast<std::size_t>(rec.rank)];
+    }
+  }
+  for (int p = 0; p < P; ++p) EXPECT_EQ(sends[static_cast<std::size_t>(p)], rounds) << "rank " << p;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, AllgatherBruck,
+    ::testing::Combine(::testing::Values(3, 5, 12, 64),
+                       ::testing::Values(std::size_t{8}, std::size_t{2048})),
+    [](const auto& info) {
+      return "p" + std::to_string(std::get<0>(info.param)) + "_block" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------------
 // Determinism: two same-seed runs of one algorithm must produce byte-identical
 // metrics and trace artifacts (the simulator's promise extends to the engine).
 // ---------------------------------------------------------------------------

@@ -113,6 +113,87 @@ TEST(CommSplit, SuccessiveSplitsGetFreshContexts) {
   });
 }
 
+TEST(CommSplit, EqualKeysKeepParentRankOrder) {
+  mpi::Cluster cluster(cfg6());
+  cluster.run([](mpi::Comm& world) {
+    // Equal keys within each parity group: new ranks follow world order.
+    mpi::Comm parity = world.split(world.rank() % 2, 7);
+    EXPECT_EQ(parity.size(), 3);
+    EXPECT_EQ(parity.rank(), world.rank() / 2);
+    // The tie-break is the rank in the *parent*: split a reversed
+    // communicator with equal keys and the reversal survives.
+    mpi::Comm rev = world.split(0, world.size() - world.rank());
+    mpi::Comm same = rev.split(0, 0);
+    EXPECT_EQ(same.rank(), rev.rank());
+    EXPECT_EQ(same.rank(), world.size() - 1 - world.rank());
+    // The mapping is real, not just the rank number: local rank 0 of `same`
+    // is world rank size-1.
+    int v = same.rank() == 0 ? world.rank() : -1;
+    same.bcast(&v, sizeof(v), 0);
+    EXPECT_EQ(v, world.size() - 1);
+  });
+}
+
+TEST(CommSplit, NegativeKeysOrderLikeAnyOther) {
+  mpi::Cluster cluster(cfg6());
+  cluster.run([](mpi::Comm& world) {
+    mpi::Comm rev = world.split(0, -world.rank());
+    EXPECT_EQ(rev.rank(), world.size() - 1 - world.rank());
+    // Keys straddling zero keep their numeric order.
+    mpi::Comm fwd = world.split(0, world.rank() - 3);
+    EXPECT_EQ(fwd.rank(), world.rank());
+  });
+}
+
+TEST(CommSplit, NonPowerOfTwoWorldThreeColors) {
+  mpi::ClusterConfig cfg;
+  cfg.nodes = 4;
+  cfg.procs = 12;
+  cfg.stack = mpi::StackKind::Mpich2Nmad;
+  mpi::Cluster cluster(cfg);
+  cluster.run([](mpi::Comm& world) {
+    // Color c holds world ranks c, c+3, c+6, c+9; descending keys reverse them.
+    const int color = world.rank() % 3;
+    mpi::Comm sub = world.split(color, -world.rank());
+    EXPECT_EQ(sub.size(), 4);
+    EXPECT_EQ(sub.rank(), 3 - world.rank() / 3);
+    const double sum = sub.allreduce_one(static_cast<double>(world.rank()), mpi::ReduceOp::Sum);
+    EXPECT_DOUBLE_EQ(sum, 4.0 * color + 18.0);
+    int root = sub.rank() == 0 ? world.rank() : -1;
+    sub.bcast(&root, sizeof(root), 0);
+    EXPECT_EQ(root, color + 9);
+  });
+}
+
+TEST(CommSplit, SiblingBlocksComeFromTheMaximumColor) {
+  mpi::Cluster cluster(cfg6());
+  cluster.run([](mpi::Comm& world) {
+    // Colors 0 and 2 (1 unused): the split reserves three context blocks on
+    // every rank, whatever its own color.
+    const int color = world.rank() % 2 == 0 ? 0 : 2;
+    mpi::Comm odd = world.split(color, world.rank());
+    mpi::Comm a = world.split(0, world.rank());
+    mpi::Comm b = world.split(0, world.rank());
+    // Every rank placed `a` and `b` at the same blocks: collectives spanning
+    // both colors complete.
+    EXPECT_DOUBLE_EQ(a.allreduce_one(1.0, mpi::ReduceOp::Sum), 6.0);
+    EXPECT_DOUBLE_EQ(b.allreduce_one(1.0, mpi::ReduceOp::Sum), 6.0);
+    // Neither reuses color 2's block: world rank 1 sends to world rank 3 on
+    // `odd`, then on `a` and `b`, same tag; a shared context would hand the
+    // `odd` message to the first receive.
+    if (world.rank() == 1) {
+      odd.send_value(111, 1, 4);
+      a.send_value(222, 3, 4);
+      b.send_value(333, 3, 4);
+    }
+    if (world.rank() == 3) {
+      EXPECT_EQ(b.recv_value<int>(1, 4), 333);
+      EXPECT_EQ(a.recv_value<int>(1, 4), 222);
+      EXPECT_EQ(odd.recv_value<int>(0, 4), 111);
+    }
+  });
+}
+
 TEST(Waitany, ReturnsTheFirstCompletion) {
   mpi::ClusterConfig cfg;
   cfg.nodes = 2;
