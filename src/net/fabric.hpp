@@ -44,6 +44,8 @@ class Endpoints {
     NMX_ASSERT_MSG(ep != nullptr, "packet for unregistered process");
     return *ep;
   }
+  /// The endpoint of `proc`, or null while none is registered.
+  Endpoint* find(int proc) const { return slot(proc); }
 
  private:
   Endpoint* slot(int proc) const {

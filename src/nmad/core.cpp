@@ -1,6 +1,7 @@
 #include "nmad/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -59,10 +60,8 @@ Core::Core(sim::Engine& eng, net::Fabric& fabric, net::Endpoints<Core>& peers, i
     RailLoad l;
     l.now = eng_.now();
     l.busy_until.reserve(drivers_.size());
-    l.ingress_busy_until.reserve(drivers_.size());
     for (const Driver& d : drivers_) {
       l.busy_until.push_back(fabric_.egress_busy_until(my_node_, d.fabric_rail));
-      l.ingress_busy_until.push_back(fabric_.ingress_busy_until(my_node_, d.fabric_rail));
     }
     return l;
   });
@@ -88,14 +87,41 @@ Request* Core::new_request(Request r) {
   return &*it;
 }
 
-Core::GateState& Core::gate(int peer) { return gates_[peer]; }
-
-std::size_t Core::seq_of(GateState& g, Tag tag) {
-  for (std::size_t i = 0; i < g.seq.size(); ++i) {
-    if (g.seq[i].tag == tag) return i;
+Gate* Core::find_gate(int peer) const {
+  if (gate_index_.empty()) return nullptr;
+  const std::size_t mask = gate_index_.size() - 1;
+  for (std::size_t i = gate_slot(peer);; i = (i + 1) & mask) {
+    const GateSlot& s = gate_index_[i];
+    if (s.peer == peer) return s.gate;
+    if (s.gate == nullptr) return nullptr;
   }
-  g.seq.push_back(Seq{tag});
-  return g.seq.size() - 1;
+}
+
+Gate& Core::gate(int peer) {
+  if (Gate* g = find_gate(peer)) return *g;
+  Gate& g = *gates_.emplace_back(std::make_unique<Gate>());
+  g.peer = peer;
+  if (4 * gates_.size() <= 3 * gate_index_.size()) {
+    index_gate(g);
+    return g;
+  }
+  const std::size_t slots = gate_index_.empty() ? 8 : 2 * gate_index_.size();
+  gate_index_.assign(slots, GateSlot{});
+  gate_index_shift_ = 32 - std::countr_zero(slots);
+  for (const auto& old : gates_) index_gate(*old);
+  return g;
+}
+
+void Core::index_gate(Gate& g) {
+  const std::size_t mask = gate_index_.size() - 1;
+  std::size_t i = gate_slot(g.peer);
+  while (gate_index_[i].gate != nullptr) i = (i + 1) & mask;
+  gate_index_[i] = GateSlot{g.peer, &g};
+}
+
+std::vector<double> Core::landing_mix(int peer) const {
+  const Gate* g = find_gate(peer);
+  return g != nullptr && g->cold != nullptr ? g->cold->rdv_rx_by_rail : std::vector<double>{};
 }
 
 bool Core::any_rail_needs_registration() const {
@@ -131,14 +157,21 @@ Request* Core::isend(int dst, Tag tag, const void* buf, std::size_t len, void* u
     return r;
   }());
 
-  GateState& g = gate(dst);
-  const std::uint32_t seq = g.seq[seq_of(g, tag)].send++;
+  Gate& g = gate(dst);
+  if (g.far == nullptr) {
+    // The connection's first send records its far end: the receiver's gate
+    // toward us, which every Eager and Rts entry then carries. A destination
+    // with no registered core yet fails (or resolves) at arrival instead.
+    if (Core* peer = peers_.find(dst)) g.far = &peer->gate(my_proc_);
+  }
+  const std::uint32_t seq = g.seq(g.seq_of(tag)).send++;
   obs::Recorder* rec = eng_.recorder();
   Entry e;
   e.dst_proc = dst;
   e.tag = tag;
   e.seq = seq;
   e.span = span;
+  e.far = g.far;
   if (len <= calib::kNmadRdvThreshold) {
     e.kind = Entry::Kind::Eager;
     const auto* p = static_cast<const std::byte*>(buf);
@@ -193,14 +226,14 @@ Request* Core::irecv(int src, Tag tag, void* buf, std::size_t len, void* user_ct
     return r;
   }());
 
-  GateState& g = gate(src);
+  Gate& g = gate(src);
   auto it = std::find_if(g.unexpected.begin(), g.unexpected.end(),
-                         [tag](const Unexpected& u) { return u.tag == tag; });
+                         [tag](const Gate::Unexpected& u) { return u.tag == tag; });
   if (it == g.unexpected.end()) {
     g.posted.push_back(req);
     return req;
   }
-  Unexpected u = std::move(*it);
+  Gate::Unexpected u = std::move(*it);
   g.unexpected.erase(it);
   --unexpected_total_;
   if (obs::Recorder* rec = eng_.recorder()) {
@@ -226,17 +259,20 @@ void Core::release(Request* r) {
 }
 
 std::optional<ProbeInfo> Core::probe(std::optional<int> src, TagSelector sel) const {
-  const Unexpected* best = nullptr;
+  const Gate::Unexpected* best = nullptr;
   int best_src = -1;
-  // nmx-lint: allow(determinism) arrival stamps are unique per core, so the oldest match does not depend on visitation order
-  for (const auto& [gsrc, g] : gates_) {
-    if (src && *src != gsrc) continue;
+  auto scan = [&](const Gate& g) {
     auto it = std::find_if(g.unexpected.begin(), g.unexpected.end(),
-                           [&sel](const Unexpected& u) { return sel.matches(u.tag); });
+                           [&sel](const Gate::Unexpected& u) { return sel.matches(u.tag); });
     if (it != g.unexpected.end() && (best == nullptr || it->arrival < best->arrival)) {
       best = &*it;
-      best_src = gsrc;
+      best_src = g.peer;
     }
+  };
+  if (src) {
+    if (const Gate* g = find_gate(*src)) scan(*g);
+  } else {
+    for (const auto& g : gates_) scan(*g);
   }
   if (best == nullptr) return std::nullopt;
   return ProbeInfo{best_src, best->tag, best->len};
@@ -510,12 +546,12 @@ void Core::drain_rx() {
     // Charge the generic-layer receive cost (matching, completion dispatch,
     // PIOMan locking when enabled) per wire message.
     eng_.schedule_in_checked(cfg_.deliver_overhead(), [this, it = std::move(it)]() mutable {
-      handle_wire(it.fabric_rail, std::move(it.msg));
+      handle_wire(it.fabric_rail, it.msg);
     });
   }
 }
 
-void Core::handle_wire(int fabric_rail, WireMsg m) {
+void Core::handle_wire(int fabric_rail, WireMsg& m) {
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::NmadRx, m.wire_bytes(), m.src_proc);
     rec->metrics().counter("nmad.rx.msgs").add(1);
@@ -541,7 +577,7 @@ void Core::handle_wire(int fabric_rail, WireMsg m) {
       if (dec.action == sim::EntryAction::Drop) continue;
       if (dec.action == sim::EntryAction::Duplicate) {
         Entry twin = e;
-        dispatch_entry(src, fabric_rail, std::move(twin));
+        dispatch_entry(src, fabric_rail, twin);
         // fall through: the original lands right behind its twin
       } else if (dec.action == sim::EntryAction::Delay) {
         // Box the entry: a raw Entry capture (~150 bytes) would spill the
@@ -549,20 +585,20 @@ void Core::handle_wire(int fabric_rail, WireMsg m) {
         // this cold fault path keeps the SmallFn-inline invariant intact.
         eng_.schedule_in_checked(
             dec.delay, [this, src, fabric_rail, de = std::make_unique<Entry>(std::move(e))] {
-              dispatch_entry(src, fabric_rail, std::move(*de));
+              dispatch_entry(src, fabric_rail, *de);
             });
         continue;
       }
     }
-    dispatch_entry(src, fabric_rail, std::move(e));
+    dispatch_entry(src, fabric_rail, e);
   }
 }
 
-void Core::dispatch_entry(int src, int fabric_rail, Entry e) {
+void Core::dispatch_entry(int src, int fabric_rail, Entry& e) {
   switch (e.kind) {
     case Entry::Kind::Eager:
     case Entry::Kind::Rts:
-      ingest_ordered(src, std::move(e), fabric_rail);
+      ingest_ordered(src, e, fabric_rail);
       break;
     case Entry::Kind::Cts:
       handle_cts(src, e);
@@ -591,13 +627,21 @@ void Core::dispatch_entry(int src, int fabric_rail, Entry e) {
   }
 }
 
-void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
-  // Gates are unordered_map nodes, so `g` survives the hooks re-entering
-  // the core; `g.seq` may grow under them, so hold an index, not a reference.
-  GateState& g = gate(src);
-  const std::size_t si = seq_of(g, e.tag);
-  if (e.seq != g.seq[si].recv) {
-    if (e.seq < g.seq[si].recv) {
+void Core::ingest_ordered(int src, Entry& e, int fabric_rail) {
+  // The entry names its gate (the connection's far end); only an entry the
+  // sender could not stamp costs a lookup. Gates never move, so `g` survives
+  // the hooks re-entering the core; its sequence slots may grow under them,
+  // so hold an index, not a reference.
+  Gate* far = e.far;
+  if (far == nullptr) {
+    ++arrival_lookups_;
+    far = &gate(src);
+  }
+  Gate& g = *far;
+  NMX_ASSERT_MSG(g.peer == src, "entry carries the gate of another connection");
+  const std::size_t si = g.seq_of(e.tag);
+  if (e.seq != g.seq(si).recv) {
+    if (e.seq < g.seq(si).recv) {
       // This matching slot was already consumed: a wire duplicate or a
       // sender retransmission. Eager entries are never faulted, so only an
       // Rts can get here — and it must never re-enter the matching stream
@@ -610,24 +654,26 @@ void Core::ingest_ordered(int src, Entry e, int fabric_rail) {
     // already-stashed seq is discarded by the emplace.
     const Tag tag = e.tag;
     const std::uint32_t seq = e.seq;
-    g.out_of_order.emplace(std::make_pair(tag, seq), PendingIngest{std::move(e), src, fabric_rail});
+    g.cold_state().out_of_order.emplace(std::make_pair(tag, seq),
+                                        Gate::PendingIngest{std::move(e), fabric_rail});
     return;
   }
-  ++g.seq[si].recv;
+  ++g.seq(si).recv;
   ingest(g, src, e, fabric_rail);
   // Drain any stashed successors that are now in order.
-  for (;;) {
-    auto it = g.out_of_order.find({e.tag, g.seq[si].recv});
-    if (it == g.out_of_order.end()) break;
+  while (g.cold != nullptr) {
+    auto& stash = g.cold->out_of_order;
+    auto it = stash.find({e.tag, g.seq(si).recv});
+    if (it == stash.end()) break;
     Entry next = std::move(it->second.entry);
     const int next_rail = it->second.fabric_rail;
-    g.out_of_order.erase(it);
-    ++g.seq[si].recv;
+    stash.erase(it);
+    ++g.seq(si).recv;
     ingest(g, src, next, next_rail);
   }
 }
 
-void Core::ingest(GateState& g, int src, Entry& e, int fabric_rail) {
+void Core::ingest(Gate& g, int src, Entry& e, int fabric_rail) {
   const bool rdv = e.kind == Entry::Kind::Rts;
   // Landing link for the critical-path analyzer: last byte of this eager
   // entry is on the receiver, on `fabric_rail`, named by the sender's span.
@@ -648,7 +694,7 @@ void Core::ingest(GateState& g, int src, Entry& e, int fabric_rail) {
     }
     return;
   }
-  Unexpected u;
+  Gate::Unexpected u;
   u.tag = e.tag;
   u.arrival = arrival_counter_++;
   u.rdv = rdv;
@@ -693,13 +739,13 @@ void Core::handle_dup_rts(int src, Entry& e) {
   send_cts(src, e.rdv_id, it->second.epoch, it->second.req->span);
 }
 
-void Core::decay_rx_mix(GateState& g) const {
+void Core::decay_rx_mix(Gate::Cold& c) const {
   const Time now = eng_.now();
-  if (now > g.rdv_rx_t && !g.rdv_rx_by_rail.empty()) {
-    const double f = std::exp(-(now - g.rdv_rx_t) / kMixDecayTau);
-    for (double& w : g.rdv_rx_by_rail) w *= f;
+  if (now > c.rdv_rx_t && !c.rdv_rx_by_rail.empty()) {
+    const double f = std::exp(-(now - c.rdv_rx_t) / kMixDecayTau);
+    for (double& w : c.rdv_rx_by_rail) w *= f;
   }
-  g.rdv_rx_t = now;
+  c.rdv_rx_t = now;
 }
 
 std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granting_rdv) const {
@@ -726,12 +772,13 @@ std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granti
     if (key.first == granting_src && key.second == granting_rdv) continue;
     const std::size_t outstanding = rin.req != nullptr ? rin.req->bytes_outstanding : 0;
     if (outstanding == 0) continue;
-    auto git = gates_.find(key.first);
+    const Gate* g = find_gate(key.first);
+    const Gate::Cold* mix = g != nullptr ? g->cold.get() : nullptr;
     double obs_f = 0.0;  // decay factor at read time (state stays const here)
     double obs_total = 0.0;
-    if (git != gates_.end() && !git->second.rdv_rx_by_rail.empty()) {
-      obs_f = std::exp(-(now - git->second.rdv_rx_t) / kMixDecayTau);
-      for (double w : git->second.rdv_rx_by_rail) obs_total += w * obs_f;
+    if (mix != nullptr && !mix->rdv_rx_by_rail.empty()) {
+      obs_f = std::exp(-(now - mix->rdv_rx_t) / kMixDecayTau);
+      for (double w : mix->rdv_rx_by_rail) obs_total += w * obs_f;
     }
     const double prior_mass =
         std::max(0.0, static_cast<double>(kMixPriorBytes) - obs_total);
@@ -739,9 +786,7 @@ std::vector<RailAd> Core::sample_rail_ads(int granting_src, std::uint64_t granti
     double total_w = 0.0;
     for (std::size_t r = 0; r < drivers_.size(); ++r) {
       double w = prior_mass * sampling_.rails()[r].beta / beta_sum;
-      if (git != gates_.end() && r < git->second.rdv_rx_by_rail.size()) {
-        w += git->second.rdv_rx_by_rail[r] * obs_f;
-      }
+      if (mix != nullptr && r < mix->rdv_rx_by_rail.size()) w += mix->rdv_rx_by_rail[r] * obs_f;
       weight[r] = w;
       total_w += w;
     }
@@ -939,12 +984,12 @@ void Core::handle_rdv_data(int src, int fabric_rail, Entry& e) {
   // Feed the per-peer arrival mix that attributes granted-but-unlanded bytes
   // to rails in future CTS load advertisements. Decay-then-add keeps the mix
   // a landing-*rate* observation, not a cumulative history.
-  GateState& g = gate(src);
-  if (g.rdv_rx_by_rail.size() < drivers_.size()) g.rdv_rx_by_rail.resize(drivers_.size(), 0.0);
-  decay_rx_mix(g);
+  Gate::Cold& mix = gate(src).cold_state();
+  if (mix.rdv_rx_by_rail.size() < drivers_.size()) mix.rdv_rx_by_rail.resize(drivers_.size(), 0.0);
+  decay_rx_mix(mix);
   const int lr = local_rail_of(fabric_rail);
   if (lr >= 0) {
-    g.rdv_rx_by_rail[static_cast<std::size_t>(lr)] += static_cast<double>(e.chunk.size());
+    mix.rdv_rx_by_rail[static_cast<std::size_t>(lr)] += static_cast<double>(e.chunk.size());
   }
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->instant(eng_.now(), my_proc_, obs::Cat::RdvData, e.chunk.size(),
@@ -1115,10 +1160,10 @@ void Core::on_restart() {
     send_cts(key.first, key.second, rin.epoch, rin.req->span);
   }
   // The observed per-peer arrival mix is landing-progress state too.
-  // nmx-lint: allow(determinism) per-peer reset to identical fresh values; order cannot leak
-  for (auto& [peer, g] : gates_) {
-    g.rdv_rx_by_rail.clear();
-    g.rdv_rx_t = eng_.now();
+  for (const auto& g : gates_) {
+    if (g->cold == nullptr) continue;  // nothing ever landed from this peer
+    g->cold->rdv_rx_by_rail.clear();
+    g->cold->rdv_rx_t = eng_.now();
   }
   kick();
 }

@@ -12,6 +12,7 @@
 // it is the software reaction to them that is gated.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -37,6 +38,103 @@ struct ProbeInfo {
   Tag tag = 0;
   std::size_t len = 0;
 };
+
+/// One connection to a peer process (the paper's gate): all matching state
+/// toward that peer. Matching takes the first list entry with the same tag,
+/// which keeps per-(peer, tag) FIFO order; the lists are short, and empty ones
+/// allocate nothing. A Core keeps its gates in creation order at stable
+/// addresses, so the peer's gate toward us can hold a pointer to this one
+/// (`far`), and every Eager or Rts entry carries that pointer to the
+/// receiver: an arrival is known by the connection it lands on.
+///
+/// Hot fields first: the first 64 bytes hold what a send and an in-order
+/// arrival read per message (far end, peer, the first per-tag sequence
+/// slots), then come the matching queues. The out-of-order stash, the
+/// rendezvous landing mix and any further sequence slots live in a Cold
+/// block allocated on first use, which an eager-only gate never needs. Gates
+/// are not over-aligned to cache lines: on NAS CG at 512 ranks the aligned
+/// allocations cost 0.7 MiB of allocator fragmentation.
+struct Gate {
+  /// Per-tag matching sequence numbers: next to send, next expected.
+  struct Seq {
+    Tag tag = 0;
+    std::uint32_t send = 0;
+    std::uint32_t recv = 0;
+  };
+
+  struct Unexpected {
+    Tag tag = 0;
+    std::uint64_t arrival = 0;  ///< per-core arrival stamp (for wildcard probe)
+    bool rdv = false;
+    std::size_t len = 0;
+    std::uint64_t rdv_id = 0;
+    std::uint64_t span = 0;  ///< sender's message span (deferred-match linking)
+    std::vector<std::byte> payload;  ///< eager only
+  };
+
+  /// An Eager or Rts entry waiting for its sequence turn (multirail safety).
+  struct PendingIngest {
+    Entry entry;
+    int fabric_rail = -1;
+  };
+
+  struct Cold {
+    std::vector<Seq> seq_tail;  ///< sequence slots past kSeqInline
+    std::map<std::pair<Tag, std::uint32_t>, PendingIngest> out_of_order;
+    /// Rendezvous bytes from this peer that landed per local rail — the
+    /// observed arrival mix used to attribute granted-but-unlanded bytes to
+    /// rails in the CTS load advertisement (empty until first chunk lands).
+    /// Exponentially time-decayed (kMixDecayTau) so the mix tracks the
+    /// *current* landing rate: a rail that stopped landing bytes stops
+    /// attracting backlog attribution instead of being pinned forever by
+    /// stale history.
+    std::vector<double> rdv_rx_by_rail;
+    Time rdv_rx_t = 0;  ///< last time the decay was applied to the mix
+  };
+
+  /// Sequence slots held inline. A gate talks on a handful of tags (at most
+  /// 6 on NAS CG at 512 ranks, and 2 on most of its gates), so a scan beats a
+  /// hash, and the usual gate allocates nothing for it.
+  static constexpr std::size_t kSeqInline = 3;
+
+  /// Index of `tag`'s sequence slot, appending a fresh one on first use.
+  /// Slots only grow, and those past kSeqInline live in a vector, so callers
+  /// that may re-enter the core hold an index into them, never a reference.
+  std::size_t seq_of(Tag tag) {
+    for (std::size_t i = 0; i < nseq; ++i) {
+      if (seq(i).tag == tag) return i;
+    }
+    if (nseq < kSeqInline) {
+      seq_head[nseq] = Seq{tag};
+    } else {
+      cold_state().seq_tail.push_back(Seq{tag});
+    }
+    return nseq++;
+  }
+  Seq& seq(std::size_t i) { return i < kSeqInline ? seq_head[i] : cold->seq_tail[i - kSeqInline]; }
+  Cold& cold_state() {
+    if (cold == nullptr) cold = std::make_unique<Cold>();
+    return *cold;
+  }
+
+  // First 64 bytes.
+  Gate* far = nullptr;  ///< the peer's gate toward us; null until the first send
+  int peer = -1;
+  std::uint32_t nseq = 0;  ///< sequence slots in use: seq_head, then cold->seq_tail
+  std::array<Seq, kSeqInline> seq_head{};
+
+  // Then the matching queues and the cold block.
+  std::vector<Request*> posted;        ///< receives in post order
+  std::vector<Unexpected> unexpected;  ///< unmatched arrivals in arrival order
+  std::unique_ptr<Cold> cold;
+};
+
+static_assert(sizeof(Gate*) + sizeof(int) + sizeof(std::uint32_t) +
+                      Gate::kSeqInline * sizeof(Gate::Seq) ==
+                  64,
+              "Gate's first 64 bytes are far + peer + nseq + the inline sequence slots");
+static_assert(sizeof(void*) != 8 || sizeof(Gate) == 120,
+              "a Gate is 120 bytes: hot fields, the matching queues, the cold pointer");
 
 class Core {
  public:
@@ -114,6 +212,13 @@ class Core {
   std::size_t outstanding_requests() const { return live_.size(); }
   std::size_t unexpected_count() const { return unexpected_total_; }
   std::size_t rdv_started() const { return rdv_started_; }
+  /// Eager and Rts arrivals whose gate was found by peer id, because the
+  /// entry carried no far end (a retransmitted RTS, or a destination that
+  /// was not registered when the connection's first message was sent).
+  std::size_t arrival_lookups() const { return arrival_lookups_; }
+  /// The decayed per-local-rail rendezvous landing mix from `peer` (empty
+  /// before its first chunk lands, and again after a restart).
+  std::vector<double> landing_mix(int peer) const;
 
   // --- NIC-offloaded collectives (Yu/Buntinas/Graham/Panda model) ---------
 
@@ -129,53 +234,6 @@ class Core {
                      int op, std::function<void(double)> done);
 
  private:
-  struct Unexpected {
-    Tag tag = 0;
-    std::uint64_t arrival = 0;  ///< per-core arrival stamp (for wildcard probe)
-    bool rdv = false;
-    std::size_t len = 0;
-    std::uint64_t rdv_id = 0;
-    std::uint64_t span = 0;  ///< sender's message span (deferred-match linking)
-    std::vector<std::byte> payload;  ///< eager only
-  };
-
-  /// An Eager or Rts entry waiting for its sequence turn (multirail safety).
-  struct PendingIngest {
-    Entry entry;
-    int src;
-    int fabric_rail = -1;
-  };
-
-  /// Per-(peer, tag) matching sequence numbers: next to send, next expected.
-  struct Seq {
-    Tag tag = 0;
-    std::uint32_t send = 0;
-    std::uint32_t recv = 0;
-  };
-
-  /// All matching state toward one peer (the paper's gate). Matching takes
-  /// the first list entry with the same tag, which keeps per-(peer, tag)
-  /// FIFO order; the lists are short, and empty ones allocate nothing.
-  /// `seq` is a flat table searched linearly (seq_of): a gate talks on a
-  /// handful of tags (at most 21 on NAS CG at 512 ranks), so a scan beats a
-  /// hash. It only grows, so callers that may re-enter the core hold an
-  /// index into it, never a reference.
-  struct GateState {
-    std::vector<Seq> seq;
-    std::map<std::pair<Tag, std::uint32_t>, PendingIngest> out_of_order;
-    std::vector<Request*> posted;        ///< receives in post order
-    std::vector<Unexpected> unexpected;  ///< unmatched arrivals in arrival order
-    /// Rendezvous bytes from this peer that landed per local rail — the
-    /// observed arrival mix used to attribute granted-but-unlanded bytes to
-    /// rails in the CTS load advertisement (empty until first chunk lands).
-    /// Exponentially time-decayed (kMixDecayTau) so the mix tracks the
-    /// *current* landing rate: a rail that stopped landing bytes stops
-    /// attracting backlog attribution instead of being pinned forever by
-    /// stale history.
-    std::vector<double> rdv_rx_by_rail;
-    Time rdv_rx_t = 0;  ///< last time the decay was applied to the mix
-  };
-
   struct RdvIn {
     Request* req = nullptr;
     /// Grant epoch: bumped on receiver restart so chunks answering a stale
@@ -202,9 +260,15 @@ class Core {
   };
 
   Request* new_request(Request r);
-  GateState& gate(int peer);
-  /// Index of `tag`'s entry in `g.seq`, appending a fresh one on first use.
-  static std::size_t seq_of(GateState& g, Tag tag);
+  /// The gate toward `peer`, created on first use.
+  Gate& gate(int peer);
+  /// The gate toward `peer`, or null when none exists yet.
+  Gate* find_gate(int peer) const;
+  /// Home slot of `peer` in gate_index_ (Fibonacci hashing).
+  std::size_t gate_slot(int peer) const {
+    return (static_cast<std::uint32_t>(peer) * 0x9E3779B9u) >> gate_index_shift_;
+  }
+  void index_gate(Gate& g);
   /// Strategy hand-off, instrumented: StratEnqueue record + queue-depth gauge.
   void enqueue(Entry e);
   /// Scheduler observability: per-rail backlog/steal gauges plus counter-track
@@ -217,13 +281,16 @@ class Core {
   void submit(int local_rail, WireMsg wm, bool nic_direct = false);
   void on_egress(int local_rail, std::vector<Note> notes);
   void drain_rx();
-  void handle_wire(int fabric_rail, WireMsg m);
+  void handle_wire(int fabric_rail, WireMsg& m);
   /// Deliver one wire entry to its protocol handler (post fault filtering).
-  void dispatch_entry(int src, int fabric_rail, Entry e);
-  void ingest_ordered(int src, Entry e, int fabric_rail);
+  void dispatch_entry(int src, int fabric_rail, Entry& e);
+  /// Put an Eager or Rts entry into its (peer, tag) sequence: ingest it when
+  /// its turn has come (then its stashed successors), stash it when it is
+  /// early, and drop or re-grant a duplicate.
+  void ingest_ordered(int src, Entry& e, int fabric_rail);
   /// Match an in-order Eager or Rts entry against the gate's posted
   /// receives, or queue it as unexpected. `g` is gate(src).
-  void ingest(GateState& g, int src, Entry& e, int fabric_rail);
+  void ingest(Gate& g, int src, Entry& e, int fabric_rail);
   /// Copy an eager payload into a matched receive and complete it.
   void land_eager(Request& req, const std::vector<std::byte>& bytes, std::uint64_t span);
   /// An Rts whose matching slot was already consumed (wire duplicate or
@@ -270,7 +337,7 @@ class Core {
   /// the rendezvous being granted, which the sender accounts for itself).
   std::vector<RailAd> sample_rail_ads(int granting_src, std::uint64_t granting_rdv) const;
   /// Apply the exponential landing-mix decay to a gate (idempotent per time).
-  void decay_rx_mix(GateState& g) const;
+  void decay_rx_mix(Gate::Cold& c) const;
 
   // NIC collective unit internals. State is keyed by collective id; arrivals
   // may precede the local post (the CollCtl carries the op), so entries are
@@ -312,7 +379,19 @@ class Core {
   /// Released request nodes, reused by new_request (bounded by the peak
   /// number of live requests): a request costs no heap allocation.
   std::list<Request> free_;
-  std::unordered_map<int, GateState> gates_;
+  /// Every gate, in creation order, each at a fixed address: far-end
+  /// pointers and references held across re-entry stay valid.
+  std::vector<std::unique_ptr<Gate>> gates_;
+  /// Peer id -> gate: open addressing with linear probing over a power-of-
+  /// two table kept at most 3/4 full (empty until the first gate), so it is
+  /// sized to the gate count and a probe walks adjacent 16-byte slots of one
+  /// cache line.
+  struct GateSlot {
+    int peer = -1;
+    Gate* gate = nullptr;
+  };
+  std::vector<GateSlot> gate_index_;
+  int gate_index_shift_ = 0;  ///< 32 - log2(gate_index_.size())
   std::unordered_map<std::uint64_t, Request*> rdv_out_;  ///< rdv_id -> send req
   std::map<std::pair<int, std::uint64_t>, RdvIn> rdv_in_;
 
@@ -336,6 +415,7 @@ class Core {
   std::size_t unexpected_total_ = 0;
   std::size_t rdv_started_ = 0;
   std::size_t strat_depth_ = 0;  ///< entries handed to the strategy, not yet on a NIC
+  std::size_t arrival_lookups_ = 0;
 };
 
 }  // namespace nmx::nmad

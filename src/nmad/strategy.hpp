@@ -40,11 +40,6 @@ namespace nmx::nmad {
 struct RailLoad {
   Time now = 0;
   std::vector<Time> busy_until;
-  /// Absolute time each local rail's *ingress* channel is booked until — the
-  /// receive-direction mirror of busy_until. Strategies never read this for
-  /// egress decisions; the core samples it (through the same probe) when it
-  /// builds a CTS load advertisement. May be empty for egress-only probes.
-  std::vector<Time> ingress_busy_until;
 };
 using LoadProbe = std::function<RailLoad()>;
 

@@ -16,6 +16,8 @@
 
 namespace nmx::nmad {
 
+struct Gate;  // nmad::Core's per-peer connection state (core.hpp)
+
 /// One rail's receiver-side load advertisement, carried in the CTS grant so
 /// the sender's cost model can account for *both* ends of the transfer. The
 /// receiver samples these at grant time: how long its ingress channel is
@@ -121,6 +123,11 @@ struct Entry {
   /// for other kinds.
   std::vector<RailAd> rail_ads;
   Request* sreq = nullptr;      ///< sender request to progress at egress
+  /// Eager / Rts: the receiver's gate toward the sender (the connection's
+  /// far end), so the arrival path needs no gate lookup. Null when the
+  /// sender has not resolved it, e.g. on a retransmitted RTS; the receiver
+  /// then finds the gate by peer id. Not charged on the wire, like sreq.
+  Gate* far = nullptr;
   std::uint64_t span = 0;       ///< message-lifecycle span this entry belongs to
   /// RdvChunk diagnostic (not charged on the wire, like span/sreq): the
   /// sender's predicted arrival time of this chunk at the receiver, from the
@@ -165,9 +172,11 @@ struct Entry {
 };
 
 // Entries are moved by value through every strategy queue; pin the padding-
-// free layout so a new field is a deliberate size decision (LP64 only).
-static_assert(sizeof(void*) != 8 || sizeof(Entry) == 160,
-              "Entry grew past 160 bytes: pair new 4-byte fields, or justify the growth");
+// free layout so a new field is a deliberate size decision (LP64 only). 168
+// bytes since the far-end gate pointer: it saves the receiver a gate lookup
+// on every Eager and Rts arrival, which costs more than 8 bytes per move.
+static_assert(sizeof(void*) != 8 || sizeof(Entry) == 168,
+              "Entry grew past 168 bytes: pair new 4-byte fields, or justify the growth");
 
 // Fixed-header layout pins, derived from the field widths each kind carries
 // (the same derivations tests/wire_test.cpp checks at runtime; here they are

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "nmad/core.hpp"
+#include "sim/fault.hpp"
 
 namespace nmx::nmad {
 namespace {
@@ -803,6 +804,221 @@ TEST_F(RdvHardeningFixture, CtsForNeverIssuedRendezvousFailsLoudly) {
   forge_cts(/*src_proc=*/1, sr->rdv_id + 1000);
   const std::string what = run_expecting_assert();
   EXPECT_NE(what.find("unknown rendezvous"), std::string::npos) << what;
+}
+
+
+// ---------------------------------------------------------------------------
+// Gates as connections: every Eager and Rts entry carries the receiver's gate
+// toward its sender (the far end), so the arrival path looks no gate up. An
+// entry without it (the sender could not resolve it, or a retransmitted RTS)
+// is matched through a lookup by peer id, with the same result.
+// ---------------------------------------------------------------------------
+
+struct StashRun {
+  std::vector<std::size_t> order;  ///< receive completion order
+  std::vector<Time> done_at;
+  bool payloads_intact = false;
+  std::size_t lookups = 0;  ///< the receiver's arrival_lookups()
+};
+
+// OutOfOrderDrainSurvivesSequenceTableGrowth's scenario on two rails: the
+// small messages overtake the full-size one on the idle rail and wait in the
+// stash until its arrival drains them. With `late_receiver`, the receiver's
+// core is built only after every send, so no entry can carry a far end.
+StashRun run_two_rail_stash(bool late_receiver) {
+  sim::Engine eng;
+  const net::Topology topo =
+      net::Topology::blocked(2, 2, {net::ib_profile(), net::mx_profile()});
+  net::Fabric fabric(eng, topo);
+  net::Endpoints<Core> peers(topo.num_procs());
+  Config cfg;
+  cfg.strategy = StrategyKind::CostModel;
+  cfg.rails = {0, 1};
+  Core a(eng, fabric, peers, 0, cfg);
+  a.enter_progress();
+  std::unique_ptr<Core> b;
+
+  constexpr Tag kTag = 7;
+  const std::vector<std::size_t> sizes{calib::kNmadRdvThreshold, 64, 64};
+  std::vector<std::vector<std::byte>> msgs, dsts;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    msgs.emplace_back(sizes[i]);
+    for (std::size_t k = 0; k < sizes[i]; ++k) msgs[i][k] = static_cast<std::byte>(k * 3 + i);
+    dsts.emplace_back(sizes[i]);
+  }
+  StashRun out;
+  std::vector<Request*> recvs;
+  auto make_receiver = [&] {
+    b = std::make_unique<Core>(eng, fabric, peers, 1, cfg);
+    b->enter_progress();
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      recvs.push_back(b->irecv(0, kTag, dsts[i].data(), dsts[i].size()));
+    }
+    b->set_on_complete([&](Request& r) {
+      out.order.push_back(static_cast<std::size_t>(std::find(recvs.begin(), recvs.end(), &r) -
+                                                   recvs.begin()));
+      out.done_at.push_back(eng.now());
+    });
+  };
+  if (!late_receiver) make_receiver();
+  a.isend(1, kTag, msgs[0].data(), msgs[0].size());
+  eng.schedule(30e-6, [&] {
+    for (std::size_t i = 1; i < sizes.size(); ++i) a.isend(1, kTag, msgs[i].data(), msgs[i].size());
+    if (late_receiver) make_receiver();
+  });
+  eng.run();
+  out.payloads_intact = dsts == msgs;
+  out.lookups = b->arrival_lookups();
+  return out;
+}
+
+TEST(NmadGates, FarEndAndLookupDeliveryDrainTheStashAlike) {
+  const StashRun far = run_two_rail_stash(/*late_receiver=*/false);
+  const StashRun looked_up = run_two_rail_stash(/*late_receiver=*/true);
+  EXPECT_EQ(far.lookups, 0u) << "an entry carrying its far end was looked up";
+  EXPECT_EQ(looked_up.lookups, 3u);
+  for (const StashRun* r : {&far, &looked_up}) {
+    EXPECT_EQ(r->order, (std::vector<std::size_t>{0, 1, 2})) << "per-tag matching order broken";
+    EXPECT_TRUE(r->payloads_intact);
+    // The stash was exercised: all three matched in the one drain that the
+    // full-size message's arrival started.
+    ASSERT_EQ(r->done_at.size(), 3u);
+    EXPECT_EQ(r->done_at.front(), r->done_at.back());
+  }
+  EXPECT_EQ(far.done_at, looked_up.done_at);
+}
+
+// A rendezvous whose first RTS or whose CTS is dropped on the wire: the
+// sender's retry timer retransmits the RTS without a far end. It must slot
+// into the matching stream (lost RTS) or be recognised as a duplicate (lost
+// CTS), so the receive matches exactly once and the eager message queued
+// behind it on the same tag still matches the second receive.
+struct LostControlFixture : ::testing::TestWithParam<Entry::Kind> {};
+
+TEST_P(LostControlFixture, RetransmittedRtsWithoutFarEndMatchesOnce) {
+  sim::Engine eng;
+  const net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile()});
+  net::Fabric fabric(eng, topo);
+  net::Endpoints<Core> peers(topo.num_procs());
+  sim::FaultSpec spec;
+  sim::FaultSpec::EntryFault drop;
+  drop.kind = static_cast<int>(GetParam());
+  drop.until = 100e-6;  // the original only; the retransmission gets through
+  drop.drop_p = 1.0;
+  spec.entry_faults.push_back(drop);
+  sim::FaultPlan plan(spec);
+  Config cfg;
+  cfg.fault_plan = &plan;
+  cfg.rdv_retry_timeout = 200e-6;
+  Core a(eng, fabric, peers, 0, cfg);
+  Core b(eng, fabric, peers, 1, cfg);
+  plan.arm(eng);
+  a.enter_progress();
+  b.enter_progress();
+
+  std::vector<std::byte> big(256_KiB), small(64);
+  for (std::size_t k = 0; k < big.size(); ++k) big[k] = static_cast<std::byte>(k * 5);
+  for (std::size_t k = 0; k < small.size(); ++k) small[k] = static_cast<std::byte>(k + 1);
+  std::vector<std::byte> got_big(big.size()), got_small(small.size()), spare(big.size());
+  int recv_completions = 0;
+  b.set_on_complete([&](Request&) { ++recv_completions; });
+  Request* r1 = b.irecv(0, 9, got_big.data(), got_big.size());
+  Request* r2 = b.irecv(0, 9, got_small.data(), got_small.size());
+  Request* r3 = b.irecv(0, 9, spare.data(), spare.size());  // nothing left to match
+  Request* s1 = a.isend(1, 9, big.data(), big.size());
+  Request* s2 = a.isend(1, 9, small.data(), small.size());
+  eng.run();
+
+  EXPECT_TRUE(s1->completed && s2->completed);
+  ASSERT_TRUE(r1->completed && r2->completed);
+  EXPECT_FALSE(r3->completed) << "a retransmitted RTS matched a second receive";
+  EXPECT_EQ(recv_completions, 2);
+  EXPECT_EQ(got_big, big);
+  EXPECT_EQ(got_small, small);
+  EXPECT_EQ(a.rdv_started(), 1u);
+  EXPECT_EQ(b.arrival_lookups(), 1u) << "only the retransmitted RTS lacks its far end";
+  EXPECT_EQ(b.unexpected_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lost, LostControlFixture,
+                         ::testing::Values(Entry::Kind::Rts, Entry::Kind::Cts),
+                         [](const ::testing::TestParamInfo<Entry::Kind>& info) {
+                           return std::string(Entry::kind_name(info.param));
+                         });
+
+// probe() takes the oldest unexpected message over all gates by arrival
+// stamp, so the order in which the gates were created does not matter.
+TEST(NmadGates, ProbeReturnsOldestUnexpectedWhateverTheGateOrder) {
+  for (const int first_gate : {0, 1}) {
+    sim::Engine eng;
+    const net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
+    net::Fabric fabric(eng, topo);
+    net::Endpoints<Core> peers(topo.num_procs());
+    Config cfg;
+    Core p0(eng, fabric, peers, 0, cfg);
+    Core p1(eng, fabric, peers, 1, cfg);
+    Core p2(eng, fabric, peers, 2, cfg);
+    for (Core* c : {&p0, &p1, &p2}) c->enter_progress();
+    // A receive creates the gate toward its source: fix p2's creation order
+    // with receives on a tag nobody sends.
+    std::vector<std::byte> sink(8);
+    p2.irecv(first_gate, 999, sink.data(), sink.size());
+    p2.irecv(1 - first_gate, 999, sink.data(), sink.size());
+
+    const std::vector<std::byte> m1(40, std::byte{1}), m0(24, std::byte{2});
+    p1.isend(2, 5, m1.data(), m1.size());  // lands first
+    eng.schedule(50e-6, [&] { p0.isend(2, 6, m0.data(), m0.size()); });
+    eng.run();
+    ASSERT_EQ(p2.unexpected_count(), 2u);
+
+    const auto oldest = p2.probe(std::nullopt, TagSelector::any());
+    ASSERT_TRUE(oldest.has_value());
+    EXPECT_EQ(oldest->src, 1) << "first gate " << first_gate;
+    EXPECT_EQ(oldest->tag, 5u);
+    EXPECT_EQ(oldest->len, 40u);
+    const auto from0 = p2.probe(0, TagSelector::any());
+    ASSERT_TRUE(from0.has_value());
+    EXPECT_EQ(from0->tag, 6u);
+    EXPECT_EQ(p2.probe(std::nullopt, TagSelector::exact(6))->src, 0);
+    EXPECT_FALSE(p2.probe(1, TagSelector::exact(6)).has_value());
+  }
+}
+
+// A restart loses the receive side's landing progress, and the per-peer
+// landing mix is part of it: every gate's mix is cleared, not just one.
+TEST(NmadGates, RestartClearsEveryGatesLandingMix) {
+  sim::Engine eng;
+  const net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
+  net::Fabric fabric(eng, topo);
+  net::Endpoints<Core> peers(topo.num_procs());
+  sim::FaultSpec spec;
+  spec.restart.push_back({5e-3, /*proc=*/2});
+  sim::FaultPlan plan(spec);
+  Config cfg;
+  cfg.fault_plan = &plan;
+  Core p0(eng, fabric, peers, 0, cfg);
+  Core p1(eng, fabric, peers, 1, cfg);
+  Core p2(eng, fabric, peers, 2, cfg);
+  plan.arm(eng);
+  for (Core* c : {&p0, &p1, &p2}) c->enter_progress();
+
+  const std::vector<std::byte> msg(256_KiB, std::byte{7});
+  std::vector<std::byte> d0(msg.size()), d1(msg.size());
+  Request* r0 = p2.irecv(0, 9, d0.data(), d0.size());
+  Request* r1 = p2.irecv(1, 9, d1.data(), d1.size());
+  p0.isend(2, 9, msg.data(), msg.size());
+  p1.isend(2, 9, msg.data(), msg.size());
+  bool mixed_before_restart = false;
+  eng.schedule(4e-3, [&] {
+    mixed_before_restart = !p2.landing_mix(0).empty() && !p2.landing_mix(1).empty();
+  });
+  eng.run();
+  ASSERT_TRUE(r0->completed && r1->completed);
+  EXPECT_EQ(d0, msg);
+  EXPECT_EQ(d1, msg);
+  EXPECT_TRUE(mixed_before_restart) << "both rendezvous should have fed a landing mix";
+  EXPECT_TRUE(p2.landing_mix(0).empty());
+  EXPECT_TRUE(p2.landing_mix(1).empty());
 }
 
 }  // namespace
