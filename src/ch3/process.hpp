@@ -72,6 +72,8 @@ class Ch3Process final : public mpi::Transport {
   /// no progress gating (the offload the Yu et al. protocol models).
   mpi::TxRequest* nic_coll(std::uint64_t coll_id, int parent, std::span<const int> children,
                            int op, double* inout) override;
+  /// Drains NewMadeleine's outgoing queue (nmad::Core::drain).
+  void finalize(sim::Actor& self) override { core_->drain(self); }
 
   // --- introspection ------------------------------------------------------
   nmad::Core& core() { return *core_; }

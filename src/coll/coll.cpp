@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <deque>
 #include <numeric>
 #include <span>
 #include <string>
 
 #include "common/assert.hpp"
-#include "common/units.hpp"
 #include "mpi/comm.hpp"
 #include "obs/recorder.hpp"
 
@@ -21,9 +19,6 @@ using obs::CollOp;
 
 /// Arity of Algo::Kary trees and window of the windowed alltoall.
 constexpr int kKary = 4;
-/// Pipeline chunk of the ring bcast: chunks this size flow down the chain
-/// with a bounded send window, so a long broadcast overlaps hops.
-constexpr std::size_t kRingChunk = 256_KiB;
 
 // ---------------------------------------------------------------------------
 // Tag table. Every collective tag lives here, on the communicator's
@@ -37,12 +32,7 @@ constexpr std::size_t kRingChunk = 256_KiB;
 constexpr int tag(CollOp op, int window) { return static_cast<int>(op) * 128 + window * 16; }
 
 constexpr int kTagBarrier = tag(CollOp::Barrier, 0);          // + round (dissemination)
-constexpr int kTagBarrierTree = tag(CollOp::Barrier, 1);      // +0 gather, +1 release
-constexpr int kTagBarrierRing = tag(CollOp::Barrier, 2);      // +0 entry, +1 release circuit
-constexpr int kTagBcast = tag(CollOp::Bcast, 0);              // binomial / k-ary tree
-constexpr int kTagBcastRing = tag(CollOp::Bcast, 1);          // + chunk
-constexpr int kTagBcastScatter = tag(CollOp::Bcast, 2);       // scatter-allgather: scatter
-constexpr int kTagBcastAg = tag(CollOp::Bcast, 3);            // + step (its allgather)
+constexpr int kTagBcast = tag(CollOp::Bcast, 0);              // binomial tree
 constexpr int kTagAllreduceUp = tag(CollOp::Allreduce, 0);    // tree reduce
 constexpr int kTagAllreduceDown = tag(CollOp::Allreduce, 1);  // tree bcast
 constexpr int kTagRd = tag(CollOp::Allreduce, 2);   // +0 fold in, +1 doubling, +2 fold out
@@ -173,18 +163,17 @@ int Engine::tree_edges(int vr, int size, int arity, Kids* children) {
   return vr == 0 ? -1 : (vr - 1) / arity;
 }
 
-bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op, int root) {
+bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op) {
   // All ranks of a communicator execute the same collective sequence, so the
   // counter agrees group-wide; the context block keeps sibling communicators
   // from colliding inside the NIC unit's id space.
   const std::uint64_t id =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx(c))) << 32) | c.next_coll_id_++;
-  const int vr = (c.rank_ - root + c.size_) % c.size_;
   Kids kids;
-  const int parent = tree_edges(vr, c.size_, 0, &kids);
+  const int parent = tree_edges(c.rank_, c.size_, 0, &kids);
   Kids world_kids;
-  for (const int k : kids.list()) world_kids.push(c.global((k + root) % c.size_));
-  const int world_parent = parent >= 0 ? c.global((parent + root) % c.size_) : -1;
+  for (const int k : kids.list()) world_kids.push(c.global(k));
+  const int world_parent = parent >= 0 ? c.global(parent) : -1;
   mpi::TxRequest* r = c.tx_.nic_coll(id, world_parent, world_kids.list(), op, value);
   if (r == nullptr) return false;  // no NIC unit on this stack: host fallback
   c.wait_release(r);
@@ -217,28 +206,14 @@ void Engine::pairwise(mpi::Comm& c, const std::byte* in, const Blocks& sb, std::
 }
 
 // ---------------------------------------------------------------------------
-// barrier
+// barrier / bcast
 // ---------------------------------------------------------------------------
 
 void Engine::barrier(mpi::Comm& c) {
+  // Dissemination: ⌈log₂P⌉ rounds, round k signals rank + 2^k and waits for
+  // rank − 2^k.
   if (c.size_ == 1) return;
-  const Algo a = resolve_barrier(c.coll_.barrier);
-  const std::uint64_t sp = phase_begin(c, CollOp::Barrier, a, 0);
-  switch (a) {
-    case Algo::NicOffload: {
-      double v = 0;
-      if (!nic_combine_tree(c, &v, /*op=*/0, /*root=*/0)) barrier_dissemination(c);
-      break;
-    }
-    case Algo::Binomial: barrier_tree(c, 0); break;
-    case Algo::Kary: barrier_tree(c, kKary); break;
-    case Algo::Ring: barrier_ring(c); break;
-    default: barrier_dissemination(c); break;
-  }
-  phase_end(c, sp, 0);
-}
-
-void Engine::barrier_dissemination(mpi::Comm& c) {
+  const std::uint64_t sp = phase_begin(c, CollOp::Barrier, Algo::RecDoubling, 0);
   int round = 0;
   for (int k = 1; k < c.size_; k <<= 1, ++round) {
     const int dst = (c.rank_ + k) % c.size_;
@@ -246,63 +221,13 @@ void Engine::barrier_dissemination(mpi::Comm& c) {
     const int t = kTagBarrier + (round & 15);
     sendrecv(c, nullptr, 0, dst, t, nullptr, 0, src, t);
   }
+  phase_end(c, sp, 0);
 }
-
-void Engine::barrier_tree(mpi::Comm& c, int arity) {
-  Kids kids;
-  const int parent = tree_edges(c.rank_, c.size_, arity, &kids);
-  for (const int k : kids.list()) recv(c, nullptr, 0, k, kTagBarrierTree);
-  if (parent >= 0) {
-    send(c, nullptr, 0, parent, kTagBarrierTree);
-    recv(c, nullptr, 0, parent, kTagBarrierTree + 1);
-  }
-  for (const int k : kids.list()) send(c, nullptr, 0, k, kTagBarrierTree + 1);
-}
-
-void Engine::barrier_ring(mpi::Comm& c) {
-  // Two token circuits: the first proves every rank entered, the second
-  // releases them.
-  const int right = (c.rank_ + 1) % c.size_;
-  const int left = (c.rank_ - 1 + c.size_) % c.size_;
-  for (int t = kTagBarrierRing; t <= kTagBarrierRing + 1; ++t) {
-    if (c.rank_ == 0) {
-      send(c, nullptr, 0, right, t);
-      recv(c, nullptr, 0, left, t);
-    } else {
-      recv(c, nullptr, 0, left, t);
-      send(c, nullptr, 0, right, t);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// bcast
-// ---------------------------------------------------------------------------
 
 void Engine::bcast(mpi::Comm& c, void* buf, std::size_t len, int root) {
   if (c.size_ == 1) return;
-  Algo a = resolve_bcast(c.coll_.bcast);
-  // The NIC unit broadcasts exactly one double; the ring pipeline degenerates
-  // on empty payloads. Everything else falls back to the binomial tree.
-  if (a == Algo::NicOffload && len != sizeof(double)) a = Algo::Binomial;
-  if ((a == Algo::Ring || a == Algo::RecDoubling) && len == 0) a = Algo::Binomial;
-  const std::uint64_t sp = phase_begin(c, CollOp::Bcast, a, len);
-  switch (a) {
-    case Algo::NicOffload: {
-      double v = 0;
-      std::memcpy(&v, buf, sizeof v);
-      if (nic_combine_tree(c, &v, /*op=*/4, root)) {
-        std::memcpy(buf, &v, sizeof v);
-      } else {
-        bcast_tree(c, buf, len, root, 0, kTagBcast);
-      }
-      break;
-    }
-    case Algo::Kary: bcast_tree(c, buf, len, root, kKary, kTagBcast); break;
-    case Algo::Ring: bcast_ring(c, buf, len, root); break;
-    case Algo::RecDoubling: bcast_scatter_allgather(c, buf, len, root); break;
-    default: bcast_tree(c, buf, len, root, 0, kTagBcast); break;
-  }
+  const std::uint64_t sp = phase_begin(c, CollOp::Bcast, Algo::Binomial, len);
+  bcast_tree(c, buf, len, root, 0, kTagBcast);
   phase_end(c, sp, len);
 }
 
@@ -318,58 +243,6 @@ void Engine::bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int 
   for (auto it = down.rbegin(); it != down.rend(); ++it) {
     send(c, buf, len, (*it + root) % c.size_, tag);
   }
-}
-
-void Engine::bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root) {
-  const int vr = (c.rank_ - root + c.size_) % c.size_;
-  const int prev = vr > 0 ? (vr - 1 + root) % c.size_ : -1;
-  const int next = vr + 1 < c.size_ ? (vr + 1 + root) % c.size_ : -1;
-  auto* p = static_cast<std::byte*>(buf);
-  std::deque<mpi::TxRequest*> inflight;
-  for (std::size_t off = 0, i = 0; off < len; off += kRingChunk, ++i) {
-    const std::size_t n = std::min(kRingChunk, len - off);
-    const int tag = kTagBcastRing + static_cast<int>(i & 15);
-    if (prev >= 0) recv(c, p + off, n, prev, tag);
-    if (next >= 0) {
-      inflight.push_back(post_send(c, next, tag, p + off, n));
-      // Window of two outstanding chunks keeps the pipe full without
-      // unbounded posted sends.
-      while (inflight.size() > 2) {
-        c.wait_release(inflight.front());
-        inflight.pop_front();
-      }
-    }
-  }
-  while (!inflight.empty()) {
-    c.wait_release(inflight.front());
-    inflight.pop_front();
-  }
-}
-
-void Engine::bcast_scatter_allgather(mpi::Comm& c, void* buf, std::size_t len, int root) {
-  // van de Geijn long-message bcast: binomial scatter of P byte-blocks, then
-  // a ring allgather — bandwidth-optimal at the cost of P-1 latency steps.
-  const int P = c.size_;
-  const int vr = (c.rank_ - root + P) % P;
-  auto* p = static_cast<std::byte*>(buf);
-  const Blocks b = Blocks::even(len, P, 1);
-
-  // Scatter: vr's subtree owns blocks [vr, vr + lowbit(vr)).
-  int lowbit = vr == 0 ? 1 : (vr & -vr);
-  if (vr == 0) {
-    while (lowbit < P) lowbit <<= 1;
-  } else {
-    const int hi = std::min(vr + lowbit, P);
-    recv(c, p + b.off(vr), b.off(hi) - b.off(vr), ((vr - lowbit) + root) % P, kTagBcastScatter);
-  }
-  for (int m = lowbit >> 1; m >= 1; m >>= 1) {
-    if (vr + m < P) {
-      const int hi = std::min(vr + 2 * m, P);
-      send(c, p + b.off(vr + m), b.off(hi) - b.off(vr + m), (vr + m + root) % P,
-           kTagBcastScatter);
-    }
-  }
-  ring_allgather(c, p, b, vr, kTagBcastAg);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +274,7 @@ void Engine::allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t c
     allreduce_recdbl(c, data, elem, count, fold);
   } else if (a == Algo::Ring) {
     allreduce_ring(c, data, elem, count, fold);
-  } else if (a == Algo::NicOffload && nic_combine_tree(c, &v, nic_op, /*root=*/0)) {
+  } else if (a == Algo::NicOffload && nic_combine_tree(c, &v, nic_op)) {
     std::memcpy(data, &v, sizeof v);
   } else {
     reduce_tree(c, data, elem, count, fold, 0, arity, kTagAllreduceUp);

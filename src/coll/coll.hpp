@@ -1,18 +1,20 @@
 // Topology/rail-aware collective engine: the one implementation of every
-// MPI collective behind mpi::Comm (barrier, bcast, allreduce, alltoall with
-// selectable algorithms — binomial and k-ary trees, ring, recursive
-// doubling, and a modeled NIC-offloaded combine tree (Yu/Buntinas/Graham/
-// Panda); reduce, gather, scatter, allgather (Bruck's ⌈log₂P⌉ rounds, as
-// MPICH2 runs short allgathers), alltoallv and scan with one algorithm
-// each), shared by all stacks.
+// MPI collective behind mpi::Comm, shared by all stacks. Allreduce and
+// alltoall have selectable algorithms (binomial and k-ary trees, ring,
+// recursive doubling, and for allreduce a modeled NIC-offloaded combine tree
+// after Yu/Buntinas/Graham/Panda). Every other op runs one algorithm: a
+// dissemination barrier, binomial bcast and reduce, Bruck's allgather
+// (⌈log₂P⌉ rounds, as MPICH2 runs short allgathers), linear gather, scatter
+// and scan, and a shifted-pairwise alltoallv (why barrier and bcast have one:
+// EXPERIMENTS.md, "Collective algorithm sweep").
 //
 // Every host-tree edge is an ordinary transport send, so its rail choice and
 // rendezvous chunking route through the NewMadeleine cost model
 // (Strategy::pick_rail / the CostModel chunk planner, fed by the RailAd
 // two-ended horizons): the collective layer decides *who talks to whom*, the
-// strategy decides *which wire carries it*. The NIC-offloaded path bypasses
-// the host trees entirely: contributions combine inside the nmad::Core NIC
-// unit and cross nodes as CollCtl control frames on the
+// strategy decides *which wire carries it*. The NIC-offloaded allreduce
+// bypasses the host trees entirely: contributions combine inside the
+// nmad::Core NIC unit and cross nodes as CollCtl control frames on the
 // min-predicted-egress rail.
 //
 // Layering: nmx_coll sits *below* nmx_mpi (nmx_mpi links it). Engine is a
@@ -35,26 +37,27 @@ enum class CollOp : std::uint8_t;
 
 namespace nmx::coll {
 
-/// Per-collective algorithm selector. Auto resolves to the op's default
-/// (Engine::resolve_*), chosen to match the pre-engine behaviour:
-/// dissemination barrier, binomial bcast, binomial reduce+bcast allreduce,
-/// shifted-pairwise alltoall.
+/// Algorithm selector of allreduce and alltoall. Auto resolves to the op's
+/// default (Engine::resolve_*), chosen to match the pre-engine behaviour:
+/// binomial reduce+bcast allreduce, shifted-pairwise alltoall. Coll spans
+/// record (op << 8) | algo, so barrier spans carry RecDoubling (the
+/// dissemination rounds) and bcast spans Binomial.
 enum class Algo : std::uint8_t {
   Auto,         ///< the op's default algorithm
   Binomial,     ///< binomial tree (alltoall: Bruck's log-round algorithm)
   Kary,         ///< k-ary tree, arity 4 (alltoall: pairwise, window of 4)
-  Ring,         ///< ring / pipelined chain (alltoall: shifted pairwise)
-  RecDoubling,  ///< recursive doubling (bcast: binomial scatter + ring allgather)
+  Ring,         ///< ring reduce-scatter + allgather (alltoall: shifted pairwise)
+  RecDoubling,  ///< recursive doubling (alltoall: XOR exchange when P is a
+                ///< power of two, else shifted pairwise)
   NicOffload,   ///< NIC combine tree; falls back to a host tree when the
                 ///< stack has no NIC unit or the payload is not one double
+                ///< (alltoall: shifted pairwise)
 };
 
 const char* to_string(Algo a);
 
-/// Algorithm selection of the four ops that have a choice.
+/// Algorithm selection of the two ops that have a choice.
 struct Config {
-  Algo barrier = Algo::Auto;
-  Algo bcast = Algo::Auto;
   Algo allreduce = Algo::Auto;
   Algo alltoall = Algo::Auto;
 };
@@ -62,8 +65,9 @@ struct Config {
 /// Element-wise reduction: fold `count` elements of `in` into `inout`.
 using ReduceFn = std::function<void(void* inout, const void* in, std::size_t count)>;
 
-/// Every op runs on the communicator's collective context with the
-/// algorithm its coll::Config (Comm::set_coll_config) selects.
+/// Every op runs on the communicator's collective context; allreduce and
+/// alltoall with the algorithm its coll::Config (Comm::set_coll_config)
+/// selects.
 class Engine {
  public:
   static void barrier(mpi::Comm& c);
@@ -95,8 +99,6 @@ class Engine {
 
  private:
   // Auto resolution per op.
-  static Algo resolve_barrier(Algo a) { return a == Algo::Auto ? Algo::RecDoubling : a; }
-  static Algo resolve_bcast(Algo a) { return a == Algo::Auto ? Algo::Binomial : a; }
   static Algo resolve_allreduce(Algo a) { return a == Algo::Auto ? Algo::Binomial : a; }
   static Algo resolve_alltoall(Algo a) { return a == Algo::Auto ? Algo::Ring : a; }
 
@@ -120,19 +122,12 @@ class Engine {
   /// at virtual rank 0; children ascending.
   static int tree_edges(int vr, int size, int arity, Kids* children);
 
-  /// NIC combine tree rooted at `root`: returns false when the transport has
-  /// no NIC unit (caller falls back to a host tree).
-  static bool nic_combine_tree(mpi::Comm& c, double* value, int op, int root);
+  /// Binomial NIC combine tree rooted at rank 0: returns false when the
+  /// transport has no NIC unit (caller falls back to a host tree).
+  static bool nic_combine_tree(mpi::Comm& c, double* value, int op);
 
-  // barrier bodies
-  static void barrier_dissemination(mpi::Comm& c);
-  static void barrier_tree(mpi::Comm& c, int arity);
-  static void barrier_ring(mpi::Comm& c);
-
-  // bcast bodies
+  /// Binomial (arity == 0) or k-ary tree broadcast of `buf` from `root`.
   static void bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity, int tag);
-  static void bcast_ring(mpi::Comm& c, void* buf, std::size_t len, int root);
-  static void bcast_scatter_allgather(mpi::Comm& c, void* buf, std::size_t len, int root);
 
   // reduce / allreduce bodies
   static void reduce_tree(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,

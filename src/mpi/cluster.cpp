@@ -106,16 +106,19 @@ void Cluster::run_threads(int threads, std::function<void(Comm&, int thread)> bo
   // the actor table (their fiber stacks were already recycled on exit).
   eng_.reap_finished();
   const net::Topology& t = fabric_->topology();
+  // Threads of each rank still running: the last one out finalizes.
+  std::vector<int> running(static_cast<std::size_t>(cfg_.procs), threads);
   for (int p = 0; p < cfg_.procs; ++p) {
     const int locals = t.procs_on(t.node_of(p));
     for (int th = 0; th < threads; ++th) {
       eng_.spawn("rank" + std::to_string(p) + ".t" + std::to_string(th) + ".run" +
                      std::to_string(runs_),
-                 [this, p, th, locals, body](sim::Actor& self) {
-                   Comm comm(self, *transports_[static_cast<std::size_t>(p)], eng_, p,
-                             cfg_.procs, locals);
+                 [this, p, th, locals, body, &running](sim::Actor& self) {
+                   Transport& tx = *transports_[static_cast<std::size_t>(p)];
+                   Comm comm(self, tx, eng_, p, cfg_.procs, locals);
                    comm.set_coll_config(cfg_.coll);
                    body(comm, th);
+                   if (--running[static_cast<std::size_t>(p)] == 0) tx.finalize(self);
                  });
     }
   }
@@ -130,10 +133,11 @@ void Cluster::run(std::function<void(Comm&)> body) {
     const int locals = t.procs_on(t.node_of(p));
     eng_.spawn("rank" + std::to_string(p) + ".run" + std::to_string(runs_),
                [this, p, locals, body](sim::Actor& self) {
-                 Comm comm(self, *transports_[static_cast<std::size_t>(p)], eng_, p, cfg_.procs,
-                           locals);
+                 Transport& tx = *transports_[static_cast<std::size_t>(p)];
+                 Comm comm(self, tx, eng_, p, cfg_.procs, locals);
                  comm.set_coll_config(cfg_.coll);
                  body(comm);
+                 tx.finalize(self);
                });
   }
   eng_.run();

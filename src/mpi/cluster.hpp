@@ -62,9 +62,9 @@ struct ClusterConfig {
   /// pin interfering traffic to one rail of a multirail node.
   std::map<int, std::vector<int>> rank_rails;
 
-  /// Algorithm of each collective that has a choice (barrier, bcast,
-  /// allreduce, alltoall; see src/coll). Every communicator of the run,
-  /// split children included, uses it.
+  /// Algorithm of each collective that has a choice (allreduce, alltoall;
+  /// see src/coll). Every communicator of the run, split children included,
+  /// uses it.
   coll::Config coll;
 
   // baseline knobs

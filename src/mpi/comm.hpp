@@ -182,9 +182,9 @@ class Comm {
   }
 
   // --- collectives ----------------------------------------------------------
-  // One implementation, coll::Engine (src/coll): barrier, bcast, allreduce
-  // and alltoall run the algorithm ClusterConfig::coll selects; the other
-  // ops have one algorithm each. Every edge is a transport send on this
+  // One implementation, coll::Engine (src/coll): allreduce and alltoall run
+  // the algorithm ClusterConfig::coll selects; the other ops have one
+  // algorithm each. Every edge is a transport send on this
   // communicator's collective context, so rail choice and rendezvous
   // chunking stay with the NewMadeleine cost model.
 

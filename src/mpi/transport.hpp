@@ -105,16 +105,20 @@ class Transport {
 
   /// NIC-offloaded collective combine (Yu/Buntinas/Graham/Panda): post this
   /// rank's contribution `*inout` into the combine tree named by `coll_id`
-  /// (`parent` < 0 at the root). Ops: 0 sum, 1 prod, 2 min, 3 max,
-  /// 4 broadcast (the root's value wins). Returns a request that completes
-  /// when the root's broadcast-down releases this rank, with the combined
-  /// result stored back into `*inout` — or nullptr when the stack has no
-  /// NIC collective unit (the collective layer falls back to host trees).
+  /// (`parent` < 0 at the root). Ops: 0 sum, 1 prod, 2 min, 3 max. Returns a
+  /// request that completes when the root's broadcast-down releases this
+  /// rank, with the combined result stored back into `*inout` — or nullptr
+  /// when the stack has no NIC collective unit (the collective layer falls
+  /// back to host trees).
   virtual TxRequest* nic_coll(std::uint64_t /*coll_id*/, int /*parent*/,
                               std::span<const int> /*children*/, int /*op*/,
                               double* /*inout*/) {
     return nullptr;
   }
+
+  /// MPI_Finalize, run once per rank by the actor whose program returned
+  /// last: returns when nothing the rank queued still needs its progress.
+  virtual void finalize(sim::Actor& /*self*/) {}
 
   /// Block until `r` completes, driving progress (MPI_Wait).
   void wait(sim::Actor& self, TxRequest* r) {

@@ -5,8 +5,8 @@
 //
 // Enqueue is a single atomic exchange on the tail; dequeue is consumer-only.
 // This is the real algorithm — the simulator runs it single-threaded by
-// construction, and tests/nemesis_lfqueue_test.cpp hammers it with actual
-// concurrent producers.
+// construction, and LockFreeQueue.MultiProducerStress (tests/nemesis_test.cpp)
+// hammers it with actual concurrent producers.
 #pragma once
 
 #include <atomic>

@@ -297,6 +297,16 @@ void Core::progress() {
   try_flush();
 }
 
+void Core::drain(sim::Actor& self) {
+  if (!strategy_->pending()) return;
+  enter_progress();
+  while (strategy_->pending()) {
+    drain_waiter_ = &self;
+    self.block();
+  }
+  leave_progress();
+}
+
 void Core::enqueue(Entry e) {
   ++strat_depth_;
   if (obs::Recorder* rec = eng_.recorder()) {
@@ -468,6 +478,11 @@ void Core::on_egress(int local_rail, std::vector<Note> notes) {
   sample_sched();
   drain_nic_txq();
   if (strategy_->pending()) kick();
+  // Every entry leaves through a driver, so the egress after the last one
+  // is where a draining rank learns that its queue is empty.
+  if (drain_waiter_ != nullptr && !strategy_->pending()) {
+    std::exchange(drain_waiter_, nullptr)->wake();
+  }
 }
 
 void Core::notify_async() {
@@ -1174,13 +1189,12 @@ void Core::on_restart() {
 
 namespace {
 /// Combine op encoding shared with mpi::Transport::nic_coll: 0 sum, 1 prod,
-/// 2 min, 3 max, 4 broadcast (the root's value wins; contributions gate only).
+/// 2 min, 3 max.
 double nic_combine(int op, double a, double b) {
   switch (op) {
     case 1: return a * b;
     case 2: return std::min(a, b);
     case 3: return std::max(a, b);
-    case 4: return a;  // broadcast: the locally posted value is kept
     default: return a + b;
   }
 }
@@ -1195,7 +1209,8 @@ void Core::nic_coll_post(std::uint64_t coll_id, int parent, std::vector<int> chi
   st.posted = true;
   st.op = op;
   st.done = std::move(done);
-  // The local contribution is folded first so op 4 (broadcast) keeps it.
+  // The local contribution is the first operand, child partials the
+  // second: floating-point sums depend on this order, so it is fixed.
   st.acc = st.has_acc ? nic_combine(op, value, st.acc) : value;
   st.has_acc = true;
   if (obs::Recorder* rec = eng_.recorder()) {
@@ -1212,8 +1227,7 @@ void Core::nic_coll_rx(std::uint64_t id, double value, std::uint32_t ctl) {
   NicColl& st = nic_colls_[id];
   const int op = static_cast<int>(ctl & Entry::kCollOpMask);
   st.op = op;  // arrivals may precede the local post; the ctl word carries op
-  // Child contributions fold in as the second operand so op 4 keeps the
-  // locally posted value regardless of arrival order.
+  // Child contributions fold in as the second operand (see nic_coll_post).
   st.acc = st.has_acc ? nic_combine(op, st.acc, value) : value;
   st.has_acc = true;
   ++st.arrived;

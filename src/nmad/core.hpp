@@ -195,6 +195,12 @@ class Core {
   /// One explicit progress pass (MPI_Test / netmod poll).
   void progress();
 
+  /// MPI_Finalize's flush: block `self` in progress until the strategy has
+  /// handed every queued entry to a rail. Without it, an entry queued after
+  /// the rank's last wait (an RdvFin that found the rail busy) waits for a
+  /// progress pass that, without PIOMan, never comes. No-op when idle.
+  void drain(sim::Actor& self);
+
   /// PIOMan's entry point: a progress pass made by the background engine.
   void service() {
     ++progress_depth_;
@@ -402,6 +408,7 @@ class Core {
   std::deque<RxItem> pending_rx_;
   bool pending_flush_ = false;
   int progress_depth_ = 0;
+  sim::Actor* drain_waiter_ = nullptr;  ///< blocked in drain() until the queue empties
 
   std::map<std::uint64_t, NicColl> nic_colls_;
   std::deque<Entry> nic_txq_;  ///< CollCtl packets awaiting a free rail

@@ -1,14 +1,15 @@
-// Collective-engine conformance: every algorithm x every collective (the
-// four with an algorithm choice plus reduce, gather, scatter, allgather,
-// alltoallv, scan and reduce_scatter_block) x a rank sweep (including
-// non-powers-of-two) against closed-form oracles; byte-identical same-seed
-// determinism per algorithm; and a chaos leg driving an allreduce through a
-// timed rail death.
+// Collective-engine conformance: every collective (allreduce and alltoall
+// under each algorithm; barrier, bcast, reduce, gather, scatter, allgather,
+// alltoallv, scan and reduce_scatter_block, which have one algorithm each,
+// alongside them) x a rank sweep (including non-powers-of-two) against
+// closed-form oracles; byte-identical same-seed determinism per algorithm;
+// and a chaos leg driving an allreduce through a timed rail death.
 //
-// Algorithms that cannot serve a shape (NIC offload on a vector payload,
-// recursive-doubling alltoall on a non-power-of-two group) demote per the
-// documented rules — conformance must hold regardless of which algorithm
-// ends up running, so the sweep exercises the demotion matrix too.
+// Algorithms that cannot serve a shape (NIC offload on a vector payload or
+// for alltoall, recursive-doubling alltoall on a non-power-of-two group)
+// demote per the documented rules — conformance must hold regardless of
+// which algorithm ends up running, so the sweep exercises the demotion
+// matrix too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,7 @@ namespace {
 
 coll::Config every_op(coll::Algo a) {
   coll::Config c;
-  c.barrier = c.bcast = c.allreduce = c.alltoall = a;
+  c.allreduce = c.alltoall = a;
   return c;
 }
 
@@ -46,7 +47,7 @@ constexpr coll::Algo kAlgos[] = {coll::Algo::Auto,        coll::Algo::Binomial,
                                  coll::Algo::RecDoubling, coll::Algo::NicOffload};
 
 // ---------------------------------------------------------------------------
-// Conformance sweep: algorithm x rank count, all four ops with oracles
+// Conformance sweep: algorithm x rank count, every op with its oracle
 // ---------------------------------------------------------------------------
 
 class CollConformance
@@ -79,7 +80,7 @@ TEST_P(CollConformance, EveryOpMatchesItsOracle) {
     }
     c.bcast(bc.data(), kCount * sizeof(double), root);
     for (std::size_t i = 0; i < kCount; ++i) ASSERT_DOUBLE_EQ(bc[i], value(root, i));
-    // ... and the scalar shape the NIC offload serves natively.
+    // ... and a scalar.
     double one = r == root ? 41.5 : -1.0;
     c.bcast(&one, sizeof(one), root);
     EXPECT_DOUBLE_EQ(one, 41.5);

@@ -338,5 +338,82 @@ TEST_P(RandomTraffic, AllMessagesArriveInOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTraffic, ::testing::Values(1, 2, 3, 42, 1234, 99999));
 
+// ---------------------------------------------------------------------------
+// Finalize: a rank whose body returns right after its last wait may still
+// hold queued outgoing entries (a rendezvous completion ack that found every
+// rail busy). Its peers' sends complete only when those entries leave, so
+// the end of the body must drain them, as MPI_Finalize does.
+// ---------------------------------------------------------------------------
+
+// Each rank receives 128 KiB (a rendezvous on every stack) from each of
+// r-1, r-2 and r-3, sends the same to r+1, r+2 and r+3, waits for all six in
+// post order and returns.
+void shift_exchange(mpi::Comm& c) {
+  constexpr int kPeers = 3;
+  constexpr std::size_t kLen = 128_KiB;
+  auto byte_of = [](int src, int dst, std::size_t i) {
+    return static_cast<std::byte>((src * 31 + dst * 7 + static_cast<int>(i % 251)) & 0xff);
+  };
+  const int P = c.size();
+  const int r = c.rank();
+  std::vector<std::vector<std::byte>> in(kPeers, std::vector<std::byte>(kLen));
+  std::vector<std::vector<std::byte>> out(kPeers, std::vector<std::byte>(kLen));
+  std::vector<mpi::Request> reqs;
+  for (int k = 1; k <= kPeers; ++k) {
+    reqs.push_back(c.irecv(in[static_cast<std::size_t>(k - 1)].data(), kLen, (r - k + P) % P, k));
+  }
+  for (int k = 1; k <= kPeers; ++k) {
+    auto& buf = out[static_cast<std::size_t>(k - 1)];
+    const int dst = (r + k) % P;
+    for (std::size_t i = 0; i < kLen; ++i) buf[i] = byte_of(r, dst, i);
+    reqs.push_back(c.isend(buf.data(), kLen, dst, k));
+  }
+  for (mpi::Request& q : reqs) c.wait(q);
+  for (int k = 1; k <= kPeers; ++k) {
+    const int src = (r - k + P) % P;
+    const auto& buf = in[static_cast<std::size_t>(k - 1)];
+    for (std::size_t i = 0; i < kLen; ++i) {
+      ASSERT_EQ(buf[i], byte_of(src, r, i)) << "rank " << r << ": byte " << i << " from " << src;
+    }
+  }
+}
+
+class Finalize : public ::testing::TestWithParam<mpi::StackKind> {
+ protected:
+  mpi::ClusterConfig config() const {
+    mpi::ClusterConfig cfg;
+    cfg.nodes = 3;
+    cfg.procs = 16;
+    cfg.cyclic_mapping = true;
+    cfg.stack = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(Finalize, QueuedEntriesLeaveAfterTheBodyReturns) {
+  mpi::Cluster cluster(config());
+  cluster.run(shift_exchange);
+}
+
+// Under run_threads the rank finalizes when its last thread returns; here
+// the second thread returns at once and the first runs the exchange.
+TEST_P(Finalize, QueuedEntriesLeaveAfterTheLastThreadReturns) {
+  mpi::Cluster cluster(config());
+  cluster.run_threads(2, [](mpi::Comm& c, int thread) {
+    if (thread == 0) shift_exchange(c);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, Finalize,
+                         ::testing::Values(mpi::StackKind::Mpich2Nmad, mpi::StackKind::Mvapich2,
+                                           mpi::StackKind::OpenMpiBtlIb,
+                                           mpi::StackKind::OpenMpiBtlMx,
+                                           mpi::StackKind::OpenMpiCmMx),
+                         [](const auto& info) {
+                           std::string s = mpi::to_string(info.param);
+                           std::erase(s, '-');
+                           return s;
+                         });
+
 }  // namespace
 }  // namespace nmx

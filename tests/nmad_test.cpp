@@ -892,12 +892,14 @@ TEST(NmadGates, FarEndAndLookupDeliveryDrainTheStashAlike) {
 // sender's retry timer retransmits the RTS without a far end. It must slot
 // into the matching stream (lost RTS) or be recognised as a duplicate (lost
 // CTS), so the receive matches exactly once and the eager message queued
-// behind it on the same tag still matches the second receive.
+// behind it on the same tag still matches the second receive. The receiver's
+// first gate leads to a third process, so the lookup must find the sender's
+// gate by peer id, not take whichever gate exists.
 struct LostControlFixture : ::testing::TestWithParam<Entry::Kind> {};
 
 TEST_P(LostControlFixture, RetransmittedRtsWithoutFarEndMatchesOnce) {
   sim::Engine eng;
-  const net::Topology topo = net::Topology::blocked(2, 2, {net::ib_profile()});
+  const net::Topology topo = net::Topology::blocked(3, 3, {net::ib_profile()});
   net::Fabric fabric(eng, topo);
   net::Endpoints<Core> peers(topo.num_procs());
   sim::FaultSpec spec;
@@ -912,29 +914,38 @@ TEST_P(LostControlFixture, RetransmittedRtsWithoutFarEndMatchesOnce) {
   cfg.rdv_retry_timeout = 200e-6;
   Core a(eng, fabric, peers, 0, cfg);
   Core b(eng, fabric, peers, 1, cfg);
+  Core other(eng, fabric, peers, 2, cfg);
   plan.arm(eng);
   a.enter_progress();
   b.enter_progress();
+  other.enter_progress();
 
-  std::vector<std::byte> big(256_KiB), small(64);
+  std::vector<std::byte> big(256_KiB), small(64), hello(64, std::byte{0x5a});
   for (std::size_t k = 0; k < big.size(); ++k) big[k] = static_cast<std::byte>(k * 5);
   for (std::size_t k = 0; k < small.size(); ++k) small[k] = static_cast<std::byte>(k + 1);
   std::vector<std::byte> got_big(big.size()), got_small(small.size()), spare(big.size());
+  std::vector<std::byte> got_hello(big.size());
   int recv_completions = 0;
   b.set_on_complete([&](Request&) { ++recv_completions; });
+  // The receiver's first connection leads to the third process, on the same
+  // tag, with room for the rendezvous payload.
+  Request* r0 = b.irecv(2, 9, got_hello.data(), got_hello.size());
   Request* r1 = b.irecv(0, 9, got_big.data(), got_big.size());
   Request* r2 = b.irecv(0, 9, got_small.data(), got_small.size());
   Request* r3 = b.irecv(0, 9, spare.data(), spare.size());  // nothing left to match
   Request* s1 = a.isend(1, 9, big.data(), big.size());
   Request* s2 = a.isend(1, 9, small.data(), small.size());
+  other.isend(1, 9, hello.data(), hello.size());
   eng.run();
 
   EXPECT_TRUE(s1->completed && s2->completed);
-  ASSERT_TRUE(r1->completed && r2->completed);
+  ASSERT_TRUE(r0->completed && r1->completed && r2->completed);
   EXPECT_FALSE(r3->completed) << "a retransmitted RTS matched a second receive";
-  EXPECT_EQ(recv_completions, 2);
+  EXPECT_EQ(recv_completions, 3);
   EXPECT_EQ(got_big, big);
   EXPECT_EQ(got_small, small);
+  EXPECT_EQ(r0->received, hello.size()) << "the third process's receive matched another message";
+  EXPECT_TRUE(std::equal(hello.begin(), hello.end(), got_hello.begin()));
   EXPECT_EQ(a.rdv_started(), 1u);
   EXPECT_EQ(b.arrival_lookups(), 1u) << "only the retransmitted RTS lacks its far end";
   EXPECT_EQ(b.unexpected_count(), 0u);
