@@ -30,7 +30,7 @@ Comm Comm::split(int color, int key) {
 
   Comm sub(actor_, tx_, eng_, 0, static_cast<int>(members.size()), local_ranks_);
   sub.coll_ = coll_;
-  sub.group_.clear();
+  sub.group_.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     const int world = global(members[i].parent_rank);
     sub.group_.push_back(world);

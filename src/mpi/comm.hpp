@@ -39,10 +39,7 @@ class Comm {
  public:
   Comm(sim::Actor& actor, Transport& tx, sim::Engine& eng, int rank, int size,
        int local_ranks = 1)
-      : actor_(actor), tx_(tx), eng_(eng), rank_(rank), size_(size), local_ranks_(local_ranks) {
-    group_.resize(static_cast<std::size_t>(size));
-    for (int p = 0; p < size; ++p) group_[static_cast<std::size_t>(p)] = p;
-  }
+      : actor_(actor), tx_(tx), eng_(eng), rank_(rank), size_(size), local_ranks_(local_ranks) {}
 
   int rank() const { return rank_; }
   int size() const { return size_; }
@@ -316,13 +313,13 @@ class Comm {
   /// local rank in this communicator -> transport (world) rank
   int global(int local) const {
     NMX_ASSERT_MSG(local >= 0 && local < size_, "peer rank outside this communicator");
-    return group_[static_cast<std::size_t>(local)];
+    return group_.empty() ? local : group_[static_cast<std::size_t>(local)];
   }
   int global_or_any(int local) const { return local == ANY_SOURCE ? ANY_SOURCE : global(local); }
   /// world rank in a status -> local rank in this communicator
   Status localized(Status st) const {
-    if (st.source >= 0) {
-      // Identity group (every world-sized communicator): nothing to scan.
+    if (st.source >= 0 && !group_.empty()) {
+      // A split member that keeps its world rank: nothing to scan.
       if (st.source < size_ && group_[static_cast<std::size_t>(st.source)] == st.source) {
         return st;
       }
@@ -366,7 +363,7 @@ class Comm {
   int rank_;
   int size_;
   int local_ranks_;
-  std::vector<int> group_;  ///< local rank -> world rank
+  std::vector<int> group_;  ///< local rank -> world rank; empty: identity (world)
   int ctx_base_ = 0;        ///< context block of this communicator
   int next_split_ctx_ = 16; ///< context block for the next split (collective)
   coll::Config coll_;       ///< collective algorithm selection

@@ -26,7 +26,6 @@ ShmNode::ShmNode(sim::Engine& eng, int num_local_procs, ShmConfig cfg)
   NMX_ASSERT(num_local_ > 0);
   NMX_ASSERT(cfg_.cells_per_proc > 0 && cfg_.cell_payload > 0);
   for (int p = 0; p < num_local_; ++p) {
-    procs_[p].partial.resize(static_cast<std::size_t>(num_local_));
     for (std::size_t c = 0; c < cfg_.cells_per_proc; ++c) {
       const auto ci = static_cast<CellIndex>(p * cfg_.cells_per_proc + c);
       cells_[static_cast<std::size_t>(ci)].owner = p;
@@ -74,11 +73,16 @@ void ShmNode::pump(int src_local) {
       const std::size_t frag = std::min(cfg_.cell_payload, total - s.offset);
       cell.src_local = src_local;
       cell.dst_local = s.dst_local;
-      cell.first = !s.started;
+      cell.msg = kNoMsg;
       cell.total_bytes = total;
-      if (cell.first) {
-        cell.header = s.msg.header;
-        cell.payload = std::move(s.msg.payload);
+      if (!s.started) {
+        if (free_msgs_.empty()) {
+          free_msgs_.push_back(static_cast<std::uint32_t>(msgs_.size()));
+          msgs_.emplace_back();
+        }
+        cell.msg = free_msgs_.back();
+        free_msgs_.pop_back();
+        msgs_[cell.msg] = std::move(s.msg);
       }
       s.offset += frag;
       s.started = true;
@@ -87,7 +91,7 @@ void ShmNode::pump(int src_local) {
       // receiver after the queue latency plus its copy-out cost. Arrivals
       // are clamped monotonic per sender: enqueue order is program order,
       // even when a small cell follows a large one.
-      const std::size_t wire_bytes = frag + (cell.first ? kHeaderBytes : 0);
+      const std::size_t wire_bytes = frag + (cell.msg != kNoMsg ? kHeaderBytes : 0);
       const net::Channel::Grant g = ps.cpu.reserve(eng_.now(), copy_time(wire_bytes));
       const Time arrival =
           std::max(g.end + calib::kShmLatency + copy_time(wire_bytes), ps.last_arrival);
@@ -118,24 +122,26 @@ bool ShmNode::poll(int local_proc) {
     any = true;
     Cell& cell = cells_[static_cast<std::size_t>(ci)];
     NMX_ASSERT(cell.dst_local == local_proc);
-    ProcState::Partial& part = pd.partial[static_cast<std::size_t>(cell.src_local)];
-    if (cell.first) {
-      NMX_ASSERT_MSG(!part.active, "new message started before previous completed");
-      NMX_ASSERT_MSG(cell.payload.size() == cell.total_bytes,
+    auto entry_of = [&pd](int src) {
+      const auto it = std::find_if(pd.partial.begin(), pd.partial.end(),
+                                   [src](const Partial& e) { return e.src_local == src; });
+      return it == pd.partial.end() ? nullptr : &*it;
+    };
+    Partial* part = entry_of(cell.src_local);
+    if (cell.msg != kNoMsg) {
+      NMX_ASSERT_MSG(part == nullptr, "new message started before previous completed");
+      NMX_ASSERT_MSG(msgs_[cell.msg].payload.size() == cell.total_bytes,
                      "first cell must carry the whole payload");
-      part.active = true;
-      part.header = cell.header;
-      part.payload = std::move(cell.payload);
-      part.received = 0;
+      part = entry_of(-1);
+      if (part == nullptr) part = &pd.partial.emplace_back();
+      *part = Partial{cell.src_local, cell.msg, 0};
     }
-    NMX_ASSERT_MSG(part.active, "fragment without a first-fragment header");
-    NMX_ASSERT_MSG(cell.total_bytes == part.payload.size(),
-                   "continuation cell of another message");
+    NMX_ASSERT_MSG(part != nullptr, "fragment without a first-fragment header");
     // The sender's fragment formula: this cell stands for the next
     // min(cell_payload, remaining) bytes of the message.
-    const std::size_t total = part.payload.size();
-    part.received += std::min(cfg_.cell_payload, total - part.received);
-    const int src = cell.src_local;
+    const std::size_t total = msgs_[part->msg].payload.size();
+    NMX_ASSERT_MSG(cell.total_bytes == total, "continuation cell of another message");
+    part->received += std::min(cfg_.cell_payload, total - part->received);
     const int owner = cell.owner;
 
     // Return the cell before delivering: delivery code may trigger sends
@@ -147,12 +153,12 @@ bool ShmNode::poll(int local_proc) {
       pump(owner);
     }
 
-    if (part.received == total) {
-      Message m;
-      m.src_local = src;
-      m.header = part.header;
-      m.payload = std::move(part.payload);
-      part.active = false;
+    if (part->received == total) {
+      // Take the message out of its slot before delivery: delivery code may
+      // send, and a send may grow msgs_ or reuse the slot.
+      Message m = std::move(msgs_[part->msg]);
+      free_msgs_.push_back(part->msg);
+      part->src_local = -1;
       NMX_ASSERT_MSG(pd.deliver != nullptr, "no deliver callback registered");
       pd.deliver(std::move(m));
     }

@@ -4,12 +4,17 @@
 // single receive queue (which is what makes MPI_ANY_SOURCE cheap here).
 //
 // Data model: the payload is not copied through the cells on the host. The
-// first cell carries the message's whole payload vector (moved, not copied)
-// next to the header; every cell, first or continuation, still stands for
-// one fragment of min(cell_payload, remaining) bytes, and is dequeued,
-// timed, counted and flow-controlled as if it held those bytes. The
-// receiver recomputes each fragment's length with the sender's formula and
-// delivers the vector once all of its bytes have been counted.
+// first cell moves the message (header and whole payload vector, not a
+// copy) into a recycled pool of in-flight messages and carries only its
+// slot index, so a cell is a few indices and a size. Every cell, first or
+// continuation, still stands for one fragment of min(cell_payload,
+// remaining) bytes, and is dequeued, timed, counted and flow-controlled as
+// if it held those bytes. The receiver keeps one reassembly entry per
+// sender with a message in flight to it (reused once that message
+// completes), recomputes each fragment's length with the sender's formula
+// and delivers the vector once all of its bytes have been counted. So the
+// node's memory grows with its cells and its traffic, not with the square
+// of its process count.
 //
 // Timing model: copying into a cell occupies the sender CPU (serialized via a
 // Channel), each cell then becomes visible to the receiver after
@@ -48,8 +53,8 @@ struct ShmHdr {
   std::uint64_t span = 0;  ///< sender's message-lifecycle span (tracing)
 };
 
-/// One logical message handed to / delivered by the channel. `payload`
-/// moves with the first cell: the receiver gets the very vector the sender
+/// One logical message handed to / delivered by the channel. It moves with
+/// the first cell: the receiver gets the very payload vector the sender
 /// handed in, and the cells only account for its bytes (fragment sizes,
 /// copy time).
 struct Message {
@@ -94,24 +99,38 @@ class ShmNode {
   std::uint64_t mailbox(int local_proc) const;
 
   std::size_t cells_in_flight() const { return cells_in_flight_; }
+  /// Reassembly entries `local_proc` holds: the peak number of senders
+  /// with a message in flight to it at once.
+  std::size_t reassembly_slots(int local_proc) const {
+    return procs_.at(static_cast<std::size_t>(local_proc)).partial.size();
+  }
 
  private:
+  /// Marks a continuation cell: it carries no in-flight message slot.
+  static constexpr std::uint32_t kNoMsg = ~std::uint32_t{0};
+
   struct Cell {
     int owner = -1;      ///< process whose free queue this cell belongs to
     int src_local = -1;  ///< filled at send time
     int dst_local = -1;
-    bool first = false;           ///< first fragment: carries the header
+    std::uint32_t msg = kNoMsg;   ///< first fragment: its slot in msgs_
     std::size_t total_bytes = 0;  ///< payload size of the whole message
-    ShmHdr header;                ///< only on first fragment
-    std::vector<std::byte> payload;  ///< whole message payload, first fragment only
   };
+  static_assert(sizeof(Cell) <= 24, "a cell holds indices, not the message");
 
   struct PendingSend {
     int dst_local;
-    Message msg;  ///< payload moves into the first cell
+    Message msg;  ///< moves into msgs_ with the first cell
     std::size_t total = 0;   ///< payload size, kept once the payload has moved
     std::size_t offset = 0;  ///< bytes already accounted to cells
     bool started = false;
+  };
+
+  /// Reassembly of the in-flight message from one local sender.
+  struct Partial {
+    int src_local = -1;        ///< -1: free, reused by the next first cell
+    std::uint32_t msg = 0;     ///< slot in msgs_ named by the first cell
+    std::size_t received = 0;  ///< bytes accounted by cells so far
   };
 
   struct ProcState {
@@ -124,14 +143,9 @@ class ShmNode {
     DeliverFn deliver;
     ActivityFn activity;
     std::uint64_t mailbox = 0;
-    // Reassembly of the in-flight message from each local sender.
-    struct Partial {
-      bool active = false;
-      ShmHdr header;
-      std::vector<std::byte> payload;  ///< from the first cell, full size
-      std::size_t received = 0;        ///< bytes accounted by cells so far
-    };
-    std::vector<Partial> partial;  ///< indexed by src_local
+    /// One entry per sender with a message in flight to this process, so
+    /// it never outgrows the peak number of concurrently active senders.
+    std::vector<Partial> partial;
   };
 
   void pump(int src_local);
@@ -142,6 +156,10 @@ class ShmNode {
   CellPool pool_;
   std::vector<Cell> cells_;
   std::vector<ProcState> procs_;
+  /// Messages whose first cell is in flight or reassembling; slots are
+  /// recycled through free_msgs_, so steady state allocates nothing.
+  std::vector<Message> msgs_;
+  std::vector<std::uint32_t> free_msgs_;
   std::size_t cells_in_flight_ = 0;
 };
 

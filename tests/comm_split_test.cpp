@@ -224,6 +224,45 @@ TEST(Waitany, ReturnsTheFirstCompletion) {
   });
 }
 
+TEST(RankMapping, AnySourceAndWaitanyStatusesOnWorldAndReversedSplit) {
+  // The world communicator maps ranks without a stored group; a split with
+  // reversed keys maps local rank r to world rank size-1-r. ANY_SOURCE
+  // receives and waitany must report the sender's rank in the communicator
+  // the receive was posted on.
+  mpi::Cluster cluster(cfg6());
+  cluster.run([](mpi::Comm& world) {
+    const int n = world.size();
+    mpi::Comm rev = world.split(0, n - world.rank());
+    ASSERT_EQ(rev.rank(), n - 1 - world.rank());
+    for (mpi::Comm* c : {&world, &rev}) {
+      if (c->rank() == 0) {
+        // Every other rank sends its own rank; ANY_SOURCE must name it.
+        for (int k = 1; k < n; ++k) {
+          int v = -1;
+          const mpi::Status st = c->recv(&v, sizeof(v), mpi::ANY_SOURCE, 3);
+          EXPECT_EQ(st.source, v);
+        }
+        // waitany over named sources: the status names the same rank.
+        std::vector<int> got(static_cast<std::size_t>(n), -1);
+        std::vector<mpi::Request> reqs;
+        for (int src = 1; src < n; ++src) {
+          reqs.push_back(c->irecv(&got[static_cast<std::size_t>(src)], sizeof(int), src, 4));
+        }
+        for (int k = 1; k < n; ++k) {
+          mpi::Status st;
+          const int idx = c->waitany(reqs, &st);
+          EXPECT_EQ(st.source, idx + 1);
+          EXPECT_EQ(got[static_cast<std::size_t>(st.source)], st.source);
+        }
+      } else {
+        const int me = c->rank();
+        c->send_value(me, 0, 3);
+        c->send_value(me, 0, 4);
+      }
+    }
+  });
+}
+
 TEST(Waitany, CompletedRequestReturnsWithoutBlocking) {
   mpi::ClusterConfig cfg;
   cfg.nodes = 2;

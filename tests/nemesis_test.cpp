@@ -159,6 +159,48 @@ TEST_F(ShmFixture, FlowControlSurvivesMessageLargerThanAllCells) {
   EXPECT_EQ(node.cells_in_flight(), 0u);
 }
 
+/// Streams `per_sender` multi-cell messages from each of `senders` to
+/// `dst` (round-robin over senders, so their cells interleave), runs the
+/// engine with `dst` always polling, and checks bytes and per-sender FIFO
+/// order. Returns whether two consecutive deliveries came from different
+/// senders.
+bool stream_and_check(sim::Engine& eng, ShmNode& node, const std::vector<int>& senders,
+                      int dst, int per_sender, std::size_t cell_payload) {
+  std::vector<Message> delivered;
+  node.set_deliver(dst, [&](Message&& m) { delivered.push_back(std::move(m)); });
+  node.set_activity_hook(dst, [&node, dst] { node.poll(dst); });
+  auto size_of = [cell_payload](int src, int i) {
+    return 2 * cell_payload + 1 + static_cast<std::size_t>(1700 * i + 333 * src);
+  };
+  for (int i = 0; i < per_sender; ++i) {
+    for (const int src : senders) {
+      Message m;
+      m.src_local = src;
+      m.header.tag = i;
+      m.payload = payload_of(size_of(src, i), 16 * src + i);
+      node.send(dst, std::move(m));
+    }
+  }
+  eng.run();
+
+  EXPECT_EQ(delivered.size(), senders.size() * static_cast<std::size_t>(per_sender));
+  std::vector<int> next(static_cast<std::size_t>(node.num_local_procs()), 0);
+  bool interleaved = false;
+  for (std::size_t k = 0; k < delivered.size(); ++k) {
+    const Message& m = delivered[k];
+    const int i = m.header.tag;
+    EXPECT_EQ(i, next[static_cast<std::size_t>(m.src_local)]++) << "per-sender order";
+    EXPECT_EQ(m.payload, payload_of(size_of(m.src_local, i), 16 * m.src_local + i));
+    if (k > 0 && delivered[k - 1].src_local != m.src_local) interleaved = true;
+  }
+  for (const int src : senders) EXPECT_EQ(next[static_cast<std::size_t>(src)], per_sender);
+  EXPECT_EQ(node.cells_in_flight(), 0u);
+  // The callbacks capture this frame; a later delivery must fail loudly.
+  node.set_deliver(dst, nullptr);
+  node.set_activity_hook(dst, nullptr);
+  return interleaved;
+}
+
 TEST(ShmInterleave, TwoSendersMultiCellMessagesIntoOneReceiver) {
   // Two local senders stream multi-cell messages into one receiver through
   // a small cell pool, so their cells interleave in the receive queue and
@@ -169,38 +211,41 @@ TEST(ShmInterleave, TwoSendersMultiCellMessagesIntoOneReceiver) {
   cfg.cells_per_proc = 3;
   cfg.cell_payload = 1000;
   ShmNode node(eng, 3, cfg);
-  std::vector<Message> delivered;
-  node.set_deliver(2, [&](Message&& m) { delivered.push_back(std::move(m)); });
-  node.set_activity_hook(2, [&] { node.poll(2); });
+  EXPECT_TRUE(stream_and_check(eng, node, {0, 1}, 2, 6, cfg.cell_payload));
+}
 
-  constexpr int kPerSender = 6;
-  auto size_of = [](int src, int i) {
-    return static_cast<std::size_t>(2500 + 1700 * i + 333 * src);  // 3..13 cells
-  };
-  for (int i = 0; i < kPerSender; ++i) {
-    for (int src = 0; src < 2; ++src) {
-      Message m;
-      m.src_local = src;
-      m.header.tag = i;
-      m.payload = payload_of(size_of(src, i), 16 * src + i);
-      node.send(2, std::move(m));
-    }
-  }
-  eng.run();
+TEST(ShmReassembly, ThreeInterleavedSendersNeedAtMostThreeSlots) {
+  // Three senders, every message over two cells, through a small pool: the
+  // receiver reassembles up to three messages at once and never more.
+  sim::Engine eng;
+  ShmConfig cfg;
+  cfg.cells_per_proc = 3;
+  cfg.cell_payload = 1000;
+  ShmNode node(eng, 4, cfg);
+  EXPECT_TRUE(stream_and_check(eng, node, {0, 1, 2}, 3, 6, cfg.cell_payload));
+  EXPECT_GE(node.reassembly_slots(3), 2u);  // the senders really overlapped
+  EXPECT_LE(node.reassembly_slots(3), 3u);
+  for (int p = 0; p < 3; ++p) EXPECT_EQ(node.reassembly_slots(p), 0u) << "proc " << p;
 
-  ASSERT_EQ(delivered.size(), 2u * kPerSender);
-  std::vector<int> next(2, 0);
-  bool interleaved = false;
-  for (std::size_t k = 0; k < delivered.size(); ++k) {
-    const Message& m = delivered[k];
-    const int i = m.header.tag;
-    EXPECT_EQ(i, next[static_cast<std::size_t>(m.src_local)]++) << "per-sender order";
-    EXPECT_EQ(m.payload, payload_of(size_of(m.src_local, i), 16 * m.src_local + i));
-    if (k > 0 && delivered[k - 1].src_local != m.src_local) interleaved = true;
+  // A later stream from one sender reuses the freed entries.
+  EXPECT_FALSE(stream_and_check(eng, node, {1}, 3, 4, cfg.cell_payload));
+  EXPECT_LE(node.reassembly_slots(3), 3u);
+}
+
+TEST(ShmReassembly, SixtyFourProcessesTwoTalkers) {
+  // Reassembly state follows traffic, not the node's process count: on a
+  // 64-process node where only 10 and 41 exchange messages, each of them
+  // holds one entry and every other process none.
+  sim::Engine eng;
+  ShmConfig cfg;
+  cfg.cells_per_proc = 4;
+  cfg.cell_payload = 512;
+  ShmNode node(eng, 64, cfg);
+  stream_and_check(eng, node, {10}, 41, 5, cfg.cell_payload);
+  stream_and_check(eng, node, {41}, 10, 5, cfg.cell_payload);
+  for (int p = 0; p < 64; ++p) {
+    EXPECT_EQ(node.reassembly_slots(p), p == 10 || p == 41 ? 1u : 0u) << "proc " << p;
   }
-  EXPECT_EQ(next, (std::vector<int>{kPerSender, kPerSender}));
-  EXPECT_TRUE(interleaved);
-  EXPECT_EQ(node.cells_in_flight(), 0u);
 }
 
 TEST_F(ShmFixture, MailboxCountsArrivedCells) {

@@ -18,7 +18,9 @@ Series gate (positional args). Fails (exit 1) when:
     ranks. With the fiber runtime, per-rank memory is a pooled lazily
     committed stack, so an 8x rank scale-up must cost well under 8x the
     memory — linear growth means thread-stack-style per-rank overhead
-    crept back in.
+    crept back in. With a single positional file, only the
+    --rss-sublinear gates run (for a partial run, e.g. CG alone, that has
+    no baseline of its own).
 
 Critical-path composition gate (--report / --report-baseline). The
 simulation is deterministic, so a report.json produced by a bench is stable
@@ -37,7 +39,7 @@ Faster-than-baseline results pass and print a hint to refresh the baseline.
 A new series/run with no baseline entry is reported but not fatal, so adding
 one does not require touching CI in the same commit.
 
-Usage: check_bench_regression.py [<current.json> <baseline.json>]
+Usage: check_bench_regression.py [<current.json> [<baseline.json>]]
            [--max-loss=0.25] [--max-rss-gain=0.5]
            [--rss-sublinear=BENCH:R1:R2:MAXRATIO]   (repeatable)
            [--report=R.report.json --report-baseline=BASE.report.json]
@@ -215,16 +217,16 @@ def main(argv):
     if not positional and report is None:
         print(__doc__)
         return 2
-    if len(positional) not in (0, 2):
+    if len(positional) > 2 or (len(positional) == 1 and not rss_sublinear):
         print(__doc__)
         return 2
 
     failed = False
-    if positional:
+    if len(positional) == 2:
         failed |= check_engine(positional[0], positional[1], max_loss,
                                max_rss_gain)
-        if rss_sublinear:
-            failed |= check_rss_sublinear(positional[0], rss_sublinear)
+    if positional and rss_sublinear:
+        failed |= check_rss_sublinear(positional[0], rss_sublinear)
     if report is not None:
         failed |= check_report(report, report_baseline, max_wire_drift,
                                max_model_error)
