@@ -1,9 +1,8 @@
 // Ablation A7 — collective algorithm choice, swept through the engine.
 //
 // Part 1 sweeps every engine algorithm (binomial / k-ary / ring / recursive
-// doubling / NIC offload) across rank counts and payload regimes: the
-// classic latency-vs-bandwidth crossover MPI implementations tune, plus the
-// modeled NIC-offloaded combine for the scalar shapes it serves.
+// doubling) across rank counts and payload regimes: the classic
+// latency-vs-bandwidth crossover MPI implementations tune.
 //
 // Part 2 is the rail-routing headline: the same binomial reduce+bcast on a
 // two-rail testbed where an interfering stream pins one rail, with and
@@ -26,7 +25,7 @@ namespace {
 using namespace nmx;
 
 constexpr coll::Algo kAlgos[] = {coll::Algo::Binomial, coll::Algo::Kary, coll::Algo::Ring,
-                                 coll::Algo::RecDoubling, coll::Algo::NicOffload};
+                                 coll::Algo::RecDoubling};
 
 /// One engine-routed allreduce (warmup + measured) on the 10-node testbed;
 /// returns virtual microseconds.
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
 
   std::cout << "== Ablation: allreduce algorithm x ranks x payload (virtual us) ==\n";
   for (const std::size_t doubles : {std::size_t{1}, std::size_t{1024}, std::size_t{262144}}) {
-    harness::Table t({"procs", "binomial", "kary", "ring", "recdbl", "nic", "winner"});
+    harness::Table t({"procs", "binomial", "kary", "ring", "recdbl", "winner"});
     for (const int procs : {8, 16, 32, 64}) {
       std::vector<std::string> row{std::to_string(procs)};
       double best = 0;

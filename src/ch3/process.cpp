@@ -645,20 +645,6 @@ std::optional<mpi::Status> Ch3Process::iprobe(int src, int tag, int context) {
   return std::nullopt;
 }
 
-mpi::TxRequest* Ch3Process::nic_coll(std::uint64_t coll_id, int parent,
-                                     std::span<const int> children, int op, double* inout) {
-  MpidRequest* req = new_request(MpidRequest::Kind::Recv);
-  req->peer = parent;
-  req->len = sizeof(double);
-  core_->nic_coll_post(coll_id, parent, {children.begin(), children.end()}, *inout, op,
-                       [req, inout](double result) {
-                         *inout = result;
-                         req->status.count = sizeof(double);
-                         req->complete_and_wake();
-                       });
-  return req;
-}
-
 void Ch3Process::enter_progress() {
   ++depth_;
   if (depth_ == 1) {

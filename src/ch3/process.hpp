@@ -67,11 +67,6 @@ class Ch3Process final : public mpi::Transport {
   /// wrapper (§5 future work); the legacy path packs like everyone else.
   bool native_datatypes() const override { return cfg_.bypass; }
   std::optional<mpi::Status> iprobe(int src, int tag, int context) override;
-  /// NIC-offloaded collective combine: forwarded to the NewMadeleine core's
-  /// NIC unit. The request completes from the NIC context — no host matching,
-  /// no progress gating (the offload the Yu et al. protocol models).
-  mpi::TxRequest* nic_coll(std::uint64_t coll_id, int parent, std::span<const int> children,
-                           int op, double* inout) override;
   /// Drains NewMadeleine's outgoing queue (nmad::Core::drain).
   void finalize(sim::Actor& self) override { core_->drain(self); }
 

@@ -94,7 +94,6 @@ const char* to_string(Algo a) {
     case Algo::Kary: return "kary";
     case Algo::Ring: return "ring";
     case Algo::RecDoubling: return "recdbl";
-    case Algo::NicOffload: return "nic";
   }
   return "?";
 }
@@ -161,23 +160,6 @@ int Engine::tree_edges(int vr, int size, int arity, Kids* children) {
     if (kid < size) children->push(kid);
   }
   return vr == 0 ? -1 : (vr - 1) / arity;
-}
-
-bool Engine::nic_combine_tree(mpi::Comm& c, double* value, int op) {
-  // All ranks of a communicator execute the same collective sequence, so the
-  // counter agrees group-wide; the context block keeps sibling communicators
-  // from colliding inside the NIC unit's id space.
-  const std::uint64_t id =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ctx(c))) << 32) | c.next_coll_id_++;
-  Kids kids;
-  const int parent = tree_edges(c.rank_, c.size_, 0, &kids);
-  Kids world_kids;
-  for (const int k : kids.list()) world_kids.push(c.global(k));
-  const int world_parent = parent >= 0 ? c.global(parent) : -1;
-  mpi::TxRequest* r = c.tx_.nic_coll(id, world_parent, world_kids.list(), op, value);
-  if (r == nullptr) return false;  // no NIC unit on this stack: host fallback
-  c.wait_release(r);
-  return true;
 }
 
 void Engine::ring_allgather(mpi::Comm& c, std::byte* buf, const Blocks& blocks, int first,
@@ -259,23 +241,16 @@ void Engine::reduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t coun
 }
 
 void Engine::allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                       const ReduceFn& fold, int nic_op) {
+                       const ReduceFn& fold) {
   if (c.size_ == 1) return;
   const std::size_t bytes = elem * count;
-  Algo a = resolve_allreduce(c.coll_.allreduce);
-  if (a == Algo::NicOffload && !(nic_op >= 0 && count == 1 && elem == sizeof(double))) {
-    a = Algo::Binomial;  // the NIC unit combines exactly one double
-  }
+  const Algo a = resolve_allreduce(c.coll_.allreduce);
   const std::uint64_t sp = phase_begin(c, CollOp::Allreduce, a, bytes);
   const int arity = a == Algo::Kary ? kKary : 0;
-  double v = 0;
-  if (a == Algo::NicOffload) std::memcpy(&v, data, sizeof v);
   if (a == Algo::RecDoubling) {
     allreduce_recdbl(c, data, elem, count, fold);
   } else if (a == Algo::Ring) {
     allreduce_ring(c, data, elem, count, fold);
-  } else if (a == Algo::NicOffload && nic_combine_tree(c, &v, nic_op)) {
-    std::memcpy(data, &v, sizeof v);
   } else {
     reduce_tree(c, data, elem, count, fold, 0, arity, kTagAllreduceUp);
     bcast_tree(c, data, bytes, 0, arity, kTagAllreduceDown);
@@ -467,7 +442,6 @@ void Engine::alltoall(mpi::Comm& c, const void* sendbuf, std::size_t block, void
               in + static_cast<std::size_t>(c.rank_) * block, block);
   if (c.size_ == 1) return;
   Algo a = resolve_alltoall(c.coll_.alltoall);
-  if (a == Algo::NicOffload) a = Algo::Ring;  // no NIC path for alltoall
   if (a == Algo::RecDoubling && (c.size_ & (c.size_ - 1)) != 0) a = Algo::Ring;
   const std::size_t bytes = block * static_cast<std::size_t>(c.size_);
   const std::uint64_t sp = phase_begin(c, CollOp::Alltoall, a, bytes);

@@ -1,8 +1,7 @@
 // Topology/rail-aware collective engine: the one implementation of every
 // MPI collective behind mpi::Comm, shared by all stacks. Allreduce and
 // alltoall have selectable algorithms (binomial and k-ary trees, ring,
-// recursive doubling, and for allreduce a modeled NIC-offloaded combine tree
-// after Yu/Buntinas/Graham/Panda). Every other op runs one algorithm: a
+// recursive doubling). Every other op runs one algorithm: a
 // dissemination barrier, binomial bcast and reduce, Bruck's allgather
 // (⌈log₂P⌉ rounds, as MPICH2 runs short allgathers), linear gather, scatter
 // and scan, and a shifted-pairwise alltoallv (why barrier and bcast have one:
@@ -12,10 +11,7 @@
 // rendezvous chunking route through the NewMadeleine cost model
 // (Strategy::pick_rail / the CostModel chunk planner, fed by the RailAd
 // two-ended horizons): the collective layer decides *who talks to whom*, the
-// strategy decides *which wire carries it*. The NIC-offloaded allreduce
-// bypasses the host trees entirely: contributions combine inside the
-// nmad::Core NIC unit and cross nodes as CollCtl control frames on the
-// min-predicted-egress rail.
+// strategy decides *which wire carries it*.
 //
 // Layering: nmx_coll sits *below* nmx_mpi (nmx_mpi links it). Engine is a
 // friend of mpi::Comm and uses only Comm's inline members plus the raw
@@ -49,9 +45,6 @@ enum class Algo : std::uint8_t {
   Ring,         ///< ring reduce-scatter + allgather (alltoall: shifted pairwise)
   RecDoubling,  ///< recursive doubling (alltoall: XOR exchange when P is a
                 ///< power of two, else shifted pairwise)
-  NicOffload,   ///< NIC combine tree; falls back to a host tree when the
-                ///< stack has no NIC unit or the payload is not one double
-                ///< (alltoall: shifted pairwise)
 };
 
 const char* to_string(Algo a);
@@ -73,11 +66,9 @@ class Engine {
   static void barrier(mpi::Comm& c);
   static void bcast(mpi::Comm& c, void* buf, std::size_t len, int root);
   /// In-place allreduce: `data` holds this rank's `count` contributions of
-  /// `elem` bytes and receives the combined vector. `nic_op` >= 0 (the NIC
-  /// combine op code) marks a payload the NIC unit can take — one double —
-  /// and is only honoured under Algo::NicOffload.
+  /// `elem` bytes and receives the combined vector.
   static void allreduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
-                        const ReduceFn& fold, int nic_op);
+                        const ReduceFn& fold);
   /// In-place binomial reduce: `data` is this rank's contribution and, at
   /// `root`, receives the result (scratch elsewhere).
   static void reduce(mpi::Comm& c, void* data, std::size_t elem, std::size_t count,
@@ -121,10 +112,6 @@ class Engine {
   /// Binomial (arity == 0) or k-ary parent/children of `vr` in a tree rooted
   /// at virtual rank 0; children ascending.
   static int tree_edges(int vr, int size, int arity, Kids* children);
-
-  /// Binomial NIC combine tree rooted at rank 0: returns false when the
-  /// transport has no NIC unit (caller falls back to a host tree).
-  static bool nic_combine_tree(mpi::Comm& c, double* value, int op);
 
   /// Binomial (arity == 0) or k-ary tree broadcast of `buf` from `root`.
   static void bcast_tree(mpi::Comm& c, void* buf, std::size_t len, int root, int arity, int tag);

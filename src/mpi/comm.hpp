@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -236,12 +235,10 @@ class Comm {
     coll::Engine::reduce(*this, acc.data(), sizeof(T), count, fold<T>(op), root);
     if (rank_ == root && recvbuf != nullptr) std::memcpy(recvbuf, acc.data(), count * sizeof(T));
   }
-  /// One scalar double is NIC-offloadable under Algo::NicOffload.
   template <class T>
   void allreduce(const T* sendbuf, T* recvbuf, std::size_t count, ReduceOp op) {
     if (recvbuf != sendbuf) std::memcpy(recvbuf, sendbuf, count * sizeof(T));
-    const int nic_op = std::is_same_v<T, double> && count == 1 ? static_cast<int>(op) : -1;
-    coll::Engine::allreduce(*this, recvbuf, sizeof(T), count, fold<T>(op), nic_op);
+    coll::Engine::allreduce(*this, recvbuf, sizeof(T), count, fold<T>(op));
   }
   template <class T>
   T allreduce_one(T value, ReduceOp op) {
@@ -367,9 +364,6 @@ class Comm {
   int ctx_base_ = 0;        ///< context block of this communicator
   int next_split_ctx_ = 16; ///< context block for the next split (collective)
   coll::Config coll_;       ///< collective algorithm selection
-  /// Group-wide collective sequence number: feeds the NIC combine-tree ids
-  /// (identical call sequence on every member keeps it in agreement).
-  std::uint32_t next_coll_id_ = 1;
 };
 
 // ---------------------------------------------------------------------------

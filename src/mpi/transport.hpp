@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -101,19 +100,6 @@ class Transport {
   /// Drives one progress pass; `src`/`tag` may be wildcards.
   virtual std::optional<Status> iprobe(int /*src*/, int /*tag*/, int /*context*/) {
     return std::nullopt;
-  }
-
-  /// NIC-offloaded collective combine (Yu/Buntinas/Graham/Panda): post this
-  /// rank's contribution `*inout` into the combine tree named by `coll_id`
-  /// (`parent` < 0 at the root). Ops: 0 sum, 1 prod, 2 min, 3 max. Returns a
-  /// request that completes when the root's broadcast-down releases this
-  /// rank, with the combined result stored back into `*inout` — or nullptr
-  /// when the stack has no NIC collective unit (the collective layer falls
-  /// back to host trees).
-  virtual TxRequest* nic_coll(std::uint64_t /*coll_id*/, int /*parent*/,
-                              std::span<const int> /*children*/, int /*op*/,
-                              double* /*inout*/) {
-    return nullptr;
   }
 
   /// MPI_Finalize, run once per rank by the actor whose program returned

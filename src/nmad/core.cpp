@@ -24,13 +24,6 @@ constexpr std::size_t kMixPriorBytes = 256 * 1024;
 /// landing rate instead of the whole run's history. Sim-time based —
 /// deterministic.
 constexpr Time kMixDecayTau = 2e-3;
-/// NIC firmware processing per collective control packet (Yu et al. report
-/// the NIC-based barrier's per-hop cost is dominated by wire latency, with
-/// firmware handling well under a microsecond).
-constexpr Time kNicCollProc = 0.2e-6;
-/// NIC-internal loopback between co-located processes sharing the node's
-/// NICs: no wire, no egress occupancy, just a doorbell across the bus.
-constexpr Time kNicCollLoopback = 0.3e-6;
 /// Give up retransmitting an RTS (but keep waiting) after this many retries,
 /// so a receiver that simply has not posted its receive yet is not hammered
 /// forever. The request stays pending; a genuinely lost handshake then
@@ -358,7 +351,7 @@ void Core::try_flush() {
   }
 }
 
-void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
+void Core::submit(int local_rail, WireMsg wm) {
   Driver& d = drivers_[static_cast<std::size_t>(local_rail)];
   NMX_ASSERT(!d.busy);
   d.busy = true;
@@ -366,18 +359,9 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
   // Software cost before the NIC sees the packet: generic-layer injection,
   // eager copy into the packet wrapper, and on-the-fly registration of
   // rendezvous payload (NewMadeleine has no registration cache — §4.1.1).
-  // NIC-offloaded collective packets never touch the host: they are charged
-  // the firmware processing cost only.
-  Time pre;
-  if (nic_direct) {
-    pre = kNicCollProc;
-  } else {
-    pre = cfg_.inject_overhead();
-    pre += calib::copy_cost(wm.copied_bytes());
-    const net::NicProfile& prof = fabric_.profile(d.fabric_rail);
-    if (prof.needs_registration && wm.rdv_bytes() > 0) {
-      pre += calib::ib_reg_cost(wm.rdv_bytes());
-    }
+  Time pre = cfg_.inject_overhead() + calib::copy_cost(wm.copied_bytes());
+  if (fabric_.profile(d.fabric_rail).needs_registration && wm.rdv_bytes() > 0) {
+    pre += calib::ib_reg_cost(wm.rdv_bytes());
   }
 
   std::vector<Note> notes;
@@ -390,17 +374,16 @@ void Core::submit(int local_rail, WireMsg wm, bool nic_direct) {
 
   const int dst = wm.dst_proc;
   const std::size_t bytes = wm.wire_bytes();
-  // Cost-model prediction of this packet's egress completion: software
-  // pre-cost, then queueing behind whatever the NIC is already booked for,
-  // then the sampled *egress* transfer model (alpha_tx — the one-way predict()
-  // includes wire latency the sender never waits for). Compared against
-  // reality at on_egress.
-  d.tx_pred = std::max(eng_.now() + pre, fabric_.egress_busy_until(my_node_, d.fabric_rail)) +
-              sampling_.predict_egress(local_rail, bytes);
-  // NIC-direct packets bypass the strategy queue entirely; only host-path
-  // submissions shrink its depth.
-  if (!nic_direct) strat_depth_ -= std::min(strat_depth_, wm.entries.size());
+  strat_depth_ -= std::min(strat_depth_, wm.entries.size());
   if (obs::Recorder* rec = eng_.recorder()) {
+    // Cost-model prediction of this packet's egress completion: software
+    // pre-cost, then queueing behind whatever the NIC is already booked for,
+    // then the sampled *egress* transfer model (alpha_tx — the one-way
+    // predict() includes wire latency the sender never waits for). Only the
+    // traced on_egress reads it (nmad.sched.pred_error_us), so untraced runs
+    // skip it.
+    d.tx_pred = std::max(eng_.now() + pre, fabric_.egress_busy_until(my_node_, d.fabric_rail)) +
+                sampling_.predict_egress(local_rail, bytes);
     d.tx_span = rec->begin(eng_.now(), my_proc_, obs::Cat::NmadTx, bytes, local_rail);
     d.tx_begin = eng_.now();
     rec->metrics().gauge("nmad.strategy.queue_depth").set(static_cast<double>(strat_depth_));
@@ -476,7 +459,6 @@ void Core::on_egress(int local_rail, std::vector<Note> notes) {
     }
   }
   sample_sched();
-  drain_nic_txq();
   if (strategy_->pending()) kick();
   // Every entry leaves through a driver, so the egress after the last one
   // is where a draining rank learns that its queue is empty.
@@ -533,19 +515,6 @@ void Core::rts_retry(Request* req) {
 // --------------------------------------------------------------------------
 
 void Core::rx_wire(int fabric_rail, WireMsg&& m) {
-  // NIC-offloaded collective control is consumed by the NIC unit itself: no
-  // host matching, no deliver overhead, no progress gating — that autonomy
-  // is the point of the Yu et al. offload. CollCtl always travels alone
-  // (nic_coll_send builds single-entry packets).
-  if (!m.entries.empty() && m.entries[0].kind == Entry::Kind::CollCtl) {
-    for (const Entry& e : m.entries) {
-      eng_.schedule_in_checked(kNicCollProc,
-                               [this, id = e.rdv_id, value = e.coll_value, ctl = e.coll_ctl] {
-                                 nic_coll_rx(id, value, ctl);
-                               });
-    }
-    return;
-  }
   pending_rx_.push_back(RxItem{fabric_rail, std::move(m)});
   if (progress_allowed()) {
     drain_rx();
@@ -632,12 +601,6 @@ void Core::dispatch_entry(int src, int fabric_rail, Entry& e) {
       break;
     case Entry::Kind::RdvFin:
       handle_rdv_fin(e);
-      break;
-    case Entry::Kind::CollCtl:
-      // Normally peeled in rx_wire (the NIC unit handles these without host
-      // progress); reaching the host dispatch path is harmless — hand it to
-      // the same unit.
-      nic_coll_rx(e.rdv_id, e.coll_value, e.coll_ctl);
       break;
   }
 }
@@ -1181,138 +1144,6 @@ void Core::on_restart() {
     g->cold->rdv_rx_t = eng_.now();
   }
   kick();
-}
-
-// --------------------------------------------------------------------------
-// NIC-offloaded collectives (Yu/Buntinas/Graham/Panda model)
-// --------------------------------------------------------------------------
-
-namespace {
-/// Combine op encoding shared with mpi::Transport::nic_coll: 0 sum, 1 prod,
-/// 2 min, 3 max.
-double nic_combine(int op, double a, double b) {
-  switch (op) {
-    case 1: return a * b;
-    case 2: return std::min(a, b);
-    case 3: return std::max(a, b);
-    default: return a + b;
-  }
-}
-}  // namespace
-
-void Core::nic_coll_post(std::uint64_t coll_id, int parent, std::vector<int> children,
-                         double value, int op, std::function<void(double)> done) {
-  NicColl& st = nic_colls_[coll_id];
-  NMX_ASSERT_MSG(!st.posted, "NIC collective posted twice under one id");
-  st.parent = parent;
-  st.children = std::move(children);
-  st.posted = true;
-  st.op = op;
-  st.done = std::move(done);
-  // The local contribution is the first operand, child partials the
-  // second: floating-point sums depend on this order, so it is fixed.
-  st.acc = st.has_acc ? nic_combine(op, value, st.acc) : value;
-  st.has_acc = true;
-  if (obs::Recorder* rec = eng_.recorder()) {
-    rec->metrics().counter("nmad.coll.nic_posts").add(1);
-  }
-  nic_coll_maybe_up(coll_id, st);
-}
-
-void Core::nic_coll_rx(std::uint64_t id, double value, std::uint32_t ctl) {
-  if ((ctl & Entry::kCollDown) != 0) {
-    nic_coll_release(id, value);
-    return;
-  }
-  NicColl& st = nic_colls_[id];
-  const int op = static_cast<int>(ctl & Entry::kCollOpMask);
-  st.op = op;  // arrivals may precede the local post; the ctl word carries op
-  // Child contributions fold in as the second operand (see nic_coll_post).
-  st.acc = st.has_acc ? nic_combine(op, st.acc, value) : value;
-  st.has_acc = true;
-  ++st.arrived;
-  nic_coll_maybe_up(id, st);
-}
-
-void Core::nic_coll_maybe_up(std::uint64_t id, NicColl& st) {
-  if (!st.posted || st.arrived < st.children.size()) return;
-  if (st.parent >= 0) {
-    nic_coll_send(st.parent, id, st.acc, static_cast<std::uint32_t>(st.op));
-    return;  // state stays: the broadcast-down releases us
-  }
-  nic_coll_release(id, st.acc);
-}
-
-void Core::nic_coll_release(std::uint64_t id, double result) {
-  auto it = nic_colls_.find(id);
-  NMX_ASSERT_MSG(it != nic_colls_.end() && it->second.posted,
-                 "NIC collective released without a local post");
-  const std::uint32_t ctl = static_cast<std::uint32_t>(it->second.op) | Entry::kCollDown;
-  for (int c : it->second.children) nic_coll_send(c, id, result, ctl);
-  std::function<void(double)> done = std::move(it->second.done);
-  nic_colls_.erase(it);
-  if (done) done(result);
-}
-
-void Core::nic_coll_send(int dst, std::uint64_t id, double value, std::uint32_t ctl) {
-  if (obs::Recorder* rec = eng_.recorder()) {
-    rec->metrics().counter("nmad.coll.nic_msgs").add(1);
-  }
-  Entry e;
-  e.kind = Entry::Kind::CollCtl;
-  e.dst_proc = dst;
-  e.rdv_id = id;
-  e.coll_value = value;
-  e.coll_ctl = ctl;
-  if (fabric_.topology().node_of(dst) == my_node_) {
-    // Co-located ranks share the node's NICs: the combine step between them
-    // is NIC-internal — no wire, no egress occupancy, straight into the
-    // peer's NIC unit.
-    WireMsg wm;
-    wm.src_proc = my_proc_;
-    wm.dst_proc = dst;
-    wm.entries.push_back(std::move(e));
-    const int rail = drivers_[0].fabric_rail;
-    eng_.schedule_in_checked(kNicCollLoopback,
-                             [peers = &peers_, dst, rail, wm = std::move(wm)]() mutable {
-                               (*peers)[dst].rx_wire(rail, std::move(wm));
-                             });
-    return;
-  }
-  nic_txq_.push_back(std::move(e));
-  drain_nic_txq();
-}
-
-void Core::drain_nic_txq() {
-  while (!nic_txq_.empty()) {
-    const std::size_t bytes = nic_txq_.front().wire_bytes();
-    // Cost-model rail choice for the tree edge: earliest predicted egress
-    // completion among live rails — queueing behind whatever the shared NIC
-    // is already booked for, then the sampled egress transfer model. A dead
-    // rail is skipped; a congested one loses the argmin.
-    int best = -1;
-    Time best_t = 0;
-    for (std::size_t r = 0; r < drivers_.size(); ++r) {
-      const Driver& d = drivers_[r];
-      if (d.dead) continue;
-      const Time t =
-          std::max(eng_.now(), fabric_.egress_busy_until(my_node_, d.fabric_rail)) +
-          sampling_.predict_egress(static_cast<int>(r), bytes);
-      if (best < 0 || t < best_t) {
-        best = static_cast<int>(r);
-        best_t = t;
-      }
-    }
-    NMX_ASSERT_MSG(best >= 0, "NIC collective with every rail dead");
-    if (drivers_[static_cast<std::size_t>(best)].busy) return;  // its egress re-drains
-    Entry e = std::move(nic_txq_.front());
-    nic_txq_.pop_front();
-    WireMsg wm;
-    wm.src_proc = my_proc_;
-    wm.dst_proc = e.dst_proc;
-    wm.entries.push_back(std::move(e));
-    submit(best, std::move(wm), /*nic_direct=*/true);
-  }
 }
 
 void Core::complete(Request& r) {

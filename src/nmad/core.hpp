@@ -226,19 +226,6 @@ class Core {
   /// before its first chunk lands, and again after a restart).
   std::vector<double> landing_mix(int peer) const;
 
-  // --- NIC-offloaded collectives (Yu/Buntinas/Graham/Panda model) ---------
-
-  /// Post this rank's contribution to NIC combine tree `coll_id`: the NIC
-  /// unit folds children's values into ours (op per the coll layer's
-  /// encoding), forwards the partial up the tree (`parent`, -1 = root), and
-  /// the root's broadcast-down releases every rank by firing `done(result)`.
-  /// Control packets are handled by the NIC itself — no host matching, no
-  /// deliver overhead, and no progress gating — and each tree edge picks the
-  /// rail with the earliest predicted egress among live rails, so a dead or
-  /// congested rail bends the combine tree like any other cost-model edge.
-  void nic_coll_post(std::uint64_t coll_id, int parent, std::vector<int> children, double value,
-                     int op, std::function<void(double)> done);
-
  private:
   struct RdvIn {
     Request* req = nullptr;
@@ -253,7 +240,7 @@ class Core {
     bool dead = false;          ///< fail-stop: never submit here again
     std::uint64_t tx_span = 0;  ///< open NicTx span (one per rail: busy-gated)
     Time tx_begin = 0;          ///< submission time of the in-flight packet
-    Time tx_pred = 0;           ///< cost-model predicted egress completion
+    Time tx_pred = 0;           ///< predicted egress completion (traced runs)
   };
 
   struct Note {  // sender-side egress bookkeeping
@@ -282,9 +269,7 @@ class Core {
   void sample_sched();
   void kick();
   void try_flush();
-  /// `nic_direct`: a NIC-offloaded collective packet — charged the firmware
-  /// processing cost instead of host injection + copy overheads.
-  void submit(int local_rail, WireMsg wm, bool nic_direct = false);
+  void submit(int local_rail, WireMsg wm);
   void on_egress(int local_rail, std::vector<Note> notes);
   void drain_rx();
   void handle_wire(int fabric_rail, WireMsg& m);
@@ -345,32 +330,6 @@ class Core {
   /// Apply the exponential landing-mix decay to a gate (idempotent per time).
   void decay_rx_mix(Gate::Cold& c) const;
 
-  // NIC collective unit internals. State is keyed by collective id; arrivals
-  // may precede the local post (the CollCtl carries the op), so entries are
-  // created on first touch.
-  struct NicColl {
-    int parent = -1;
-    std::vector<int> children;
-    std::size_t arrived = 0;  ///< children contributions combined so far
-    bool posted = false;      ///< local rank contributed (done/children valid)
-    bool has_acc = false;
-    double acc = 0;
-    int op = 0;
-    std::function<void(double)> done;
-  };
-  /// CollCtl arrival, after the NIC processing delay.
-  void nic_coll_rx(std::uint64_t id, double value, std::uint32_t ctl);
-  /// Forward the partial up (or release at the root) once everything local
-  /// arrived and the local contribution was posted.
-  void nic_coll_maybe_up(std::uint64_t id, NicColl& st);
-  /// Root result reached this rank: forward down the tree and fire done().
-  void nic_coll_release(std::uint64_t id, double result);
-  void nic_coll_send(int dst, std::uint64_t id, double value, std::uint32_t ctl);
-  /// Submit queued CollCtl packets: each picks the live rail with the
-  /// earliest predicted egress completion. Runs unconditionally from egress
-  /// events — the NIC unit does not wait for host progress.
-  void drain_nic_txq();
-
   sim::Engine& eng_;
   net::Fabric& fabric_;
   net::Endpoints<Core>& peers_;
@@ -409,9 +368,6 @@ class Core {
   bool pending_flush_ = false;
   int progress_depth_ = 0;
   sim::Actor* drain_waiter_ = nullptr;  ///< blocked in drain() until the queue empties
-
-  std::map<std::uint64_t, NicColl> nic_colls_;
-  std::deque<Entry> nic_txq_;  ///< CollCtl packets awaiting a free rail
 
   std::function<void(Request&)> on_complete_;
   std::function<void(const ProbeInfo&)> on_unexpected_;

@@ -46,8 +46,8 @@ static_assert(RailAd::kWireSize == 20, "RailAd wire size is pinned at 20 bytes "
 
 /// One protocol unit queued toward a destination.
 struct Entry {
-  enum class Kind : std::uint8_t { Eager, Rts, Cts, RdvChunk, RailDown, RdvFin, CollCtl };
-  static constexpr int kNumKinds = 7;
+  enum class Kind : std::uint8_t { Eager, Rts, Cts, RdvChunk, RailDown, RdvFin };
+  static constexpr int kNumKinds = 6;
 
   /// Fixed header cost per kind, excluding variable-length payload fields.
   /// Eager/RdvChunk: kind + dst + tag + seq/offset bookkeeping packed in 16
@@ -60,24 +60,16 @@ struct Entry {
   /// RdvFin: receiver->sender completion ack — rdv id (8) + landed-byte ack
   /// (8) + the grant epoch it confirms (4). Retirement of the sender-side
   /// rendezvous state is gated on it (closes the restart orphan window).
-  /// CollCtl: NIC-offloaded collective control (Yu et al. model) — eager
-  /// bookkeeping + collective id (8) + combine value (8) + op/phase word (4).
   static constexpr std::size_t kEagerHeader = 16;
   static constexpr std::size_t kRtsHeader = 36;
   static constexpr std::size_t kCtsHeaderBase = 20;
   static constexpr std::size_t kRdvChunkHeader = 20;
   static constexpr std::size_t kRailDownHeader = 16;
   static constexpr std::size_t kRdvFinHeader = 20;
-  static constexpr std::size_t kCollCtlHeader = 36;
 
-  /// CollCtl op/phase word: bits 0..7 = reduce op (coll layer encoding),
-  /// bit 8 = broadcast-down phase (unset = combine-up).
-  static constexpr std::uint32_t kCollOpMask = 0xff;
-  static constexpr std::uint32_t kCollDown = 0x100;
-
-  // Field order pairs the 4-byte fields so the struct carries no padding
-  // holes: strategies move Entries by value on every hop, and the eager hot
-  // path pays for every byte.
+  // Field order pairs the 4-byte fields (only `rail` is left unpaired) so the
+  // struct carries one 4-byte hole: strategies move Entries by value on every
+  // hop, and the eager hot path pays for every byte.
   Kind kind = Kind::Eager;
   int dst_proc = -1;
   Tag tag = 0;
@@ -98,11 +90,6 @@ struct Entry {
   /// RailDown: the fabric rail that died (receiver-to-sender notification so
   /// the sender re-plans in-flight rendezvous onto surviving rails).
   int down_rail = -1;
-  /// CollCtl: the combine value riding the NIC collective tree edge (bit
-  /// pattern preserved end to end — never arithmetic on the wire).
-  double coll_value = 0;
-  /// CollCtl: reduce op (kCollOpMask bits) + phase (kCollDown bit).
-  std::uint32_t coll_ctl = 0;
   int rail = 0;                 ///< local rail, assigned by the strategy
   /// Eager payload, copied at isend: an eager send completes at egress, and
   /// the sender may reuse its buffer from then on. Empty for every other
@@ -146,7 +133,6 @@ struct Entry {
       case Kind::RdvChunk: return kRdvChunkHeader;
       case Kind::RailDown: return kRailDownHeader;
       case Kind::RdvFin: return kRdvFinHeader;
-      case Kind::CollCtl: return kCollCtlHeader;
     }
     return kEagerHeader;
   }
@@ -159,7 +145,6 @@ struct Entry {
       case Kind::RdvChunk: return "RdvChunk";
       case Kind::RailDown: return "RailDown";
       case Kind::RdvFin: return "RdvFin";
-      case Kind::CollCtl: return "CollCtl";
     }
     return "?";
   }
@@ -171,12 +156,15 @@ struct Entry {
   std::size_t wire_bytes() const { return header_bytes() + payload_size(); }
 };
 
-// Entries are moved by value through every strategy queue; pin the padding-
-// free layout so a new field is a deliberate size decision (LP64 only). 168
-// bytes since the far-end gate pointer: it saves the receiver a gate lookup
-// on every Eager and Rts arrival, which costs more than 8 bytes per move.
-static_assert(sizeof(void*) != 8 || sizeof(Entry) == 168,
-              "Entry grew past 168 bytes: pair new 4-byte fields, or justify the growth");
+// Entries are moved by value through every strategy queue; pin the layout so
+// a new field is a deliberate size decision (LP64 only). 160 bytes: the far-
+// end gate pointer saves the receiver a gate lookup on every Eager and Rts
+// arrival, which costs more than 8 bytes per move. `int rail` has no 4-byte
+// partner, which leaves the one 4-byte hole: a new 4-byte field fills it for
+// free.
+static_assert(sizeof(void*) != 8 || sizeof(Entry) == 160,
+              "Entry grew past 160 bytes: fill the 4-byte hole after `rail`, or justify the "
+              "growth");
 
 // Fixed-header layout pins, derived from the field widths each kind carries
 // (the same derivations tests/wire_test.cpp checks at runtime; here they are
@@ -199,10 +187,6 @@ static_assert(Entry::kRailDownHeader == Entry::kEagerHeader,
 static_assert(Entry::kRdvFinHeader ==
                   sizeof(std::uint64_t) + sizeof(std::uint64_t) + sizeof(std::uint32_t),
               "rdv completion ack = rdv id (8) + landed-byte ack (8) + grant epoch (4)");
-static_assert(Entry::kCollCtlHeader == Entry::kEagerHeader + sizeof(std::uint64_t) +
-                                           sizeof(double) + sizeof(std::uint32_t),
-              "CollCtl header = eager bookkeeping + collective id (8) + combine value (8) + "
-              "op/phase word (4)");
 
 /// One NIC submission: entries aggregated for a single destination.
 struct WireMsg {

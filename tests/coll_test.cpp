@@ -2,14 +2,14 @@
 // under each algorithm; barrier, bcast, reduce, gather, scatter, allgather,
 // alltoallv, scan and reduce_scatter_block, which have one algorithm each,
 // alongside them) x a rank sweep (including non-powers-of-two) against
-// closed-form oracles; byte-identical same-seed determinism per algorithm;
-// and a chaos leg driving an allreduce through a timed rail death.
+// closed-form oracles, on MPICH2-NMad and on the MVAPICH2 and Open MPI CM/MX
+// baselines; byte-identical same-seed determinism per algorithm; and a chaos
+// leg driving an allreduce through a timed rail death.
 //
-// Algorithms that cannot serve a shape (NIC offload on a vector payload or
-// for alltoall, recursive-doubling alltoall on a non-power-of-two group)
-// demote per the documented rules — conformance must hold regardless of
-// which algorithm ends up running, so the sweep exercises the demotion
-// matrix too.
+// An algorithm that cannot serve a shape (recursive-doubling alltoall on a
+// non-power-of-two group) demotes per the documented rule — conformance must
+// hold regardless of which algorithm ends up running, so the sweep exercises
+// the demotion too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,21 +42,18 @@ mpi::ClusterConfig coll_cfg(int procs, coll::Algo a) {
   return cfg;
 }
 
-constexpr coll::Algo kAlgos[] = {coll::Algo::Auto,        coll::Algo::Binomial,
-                                 coll::Algo::Kary,        coll::Algo::Ring,
-                                 coll::Algo::RecDoubling, coll::Algo::NicOffload};
+constexpr coll::Algo kAlgos[] = {coll::Algo::Auto, coll::Algo::Binomial, coll::Algo::Kary,
+                                 coll::Algo::Ring, coll::Algo::RecDoubling};
 
 // ---------------------------------------------------------------------------
-// Conformance sweep: algorithm x rank count, every op with its oracle
+// Conformance sweep: algorithm x rank count (x stack), every op with its oracle
 // ---------------------------------------------------------------------------
 
-class CollConformance
-    : public ::testing::TestWithParam<std::tuple<coll::Algo, int>> {};
-
-TEST_P(CollConformance, EveryOpMatchesItsOracle) {
-  const auto [algo, procs] = GetParam();
-  mpi::Cluster cluster(coll_cfg(procs, algo));
-  const int P = procs;
+/// Runs every collective once on `cfg` and checks each against its
+/// closed-form oracle.
+void check_every_op(const mpi::ClusterConfig& cfg) {
+  mpi::Cluster cluster(cfg);
+  const int P = cfg.procs;
   auto value = [](int rank, std::size_t i) {
     return static_cast<double>(rank + 1) * 0.25 + static_cast<double>(i);
   };
@@ -94,7 +91,7 @@ TEST_P(CollConformance, EveryOpMatchesItsOracle) {
       for (int p = 0; p < P; ++p) expect += value(p, i);
       ASSERT_DOUBLE_EQ(sum[i], expect);
     }
-    // ... scalar max (NIC combine path) and scalar sum.
+    // ... scalar max and scalar sum.
     EXPECT_DOUBLE_EQ(c.allreduce_one(static_cast<double>(r), mpi::ReduceOp::Max),
                      static_cast<double>(P - 1));
     EXPECT_DOUBLE_EQ(c.allreduce_one(1.0 + r, mpi::ReduceOp::Sum),
@@ -220,12 +217,50 @@ TEST_P(CollConformance, EveryOpMatchesItsOracle) {
   });
 }
 
+class CollConformance
+    : public ::testing::TestWithParam<std::tuple<coll::Algo, int>> {};
+
+TEST_P(CollConformance, EveryOpMatchesItsOracle) {
+  const auto [algo, procs] = GetParam();
+  check_every_op(coll_cfg(procs, algo));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CollConformance,
     ::testing::Combine(::testing::ValuesIn(kAlgos), ::testing::Values(3, 4, 8, 32, 64)),
     [](const auto& info) {
       return coll::to_string(std::get<0>(info.param)) + std::string("_p") +
              std::to_string(std::get<1>(info.param));
+    });
+
+// The baselines reach coll::Engine through their own transports (their own
+// matching, eager limits and rendezvous), so each fixed algorithm runs there
+// too; P = 5 takes the non-power-of-two demotion and fold paths.
+class CollBaselineConformance
+    : public ::testing::TestWithParam<std::tuple<mpi::StackKind, coll::Algo, int>> {};
+
+TEST_P(CollBaselineConformance, EveryOpMatchesItsOracle) {
+  const auto [stack, algo, procs] = GetParam();
+  mpi::ClusterConfig cfg = coll_cfg(procs, algo);
+  cfg.stack = stack;
+  cfg.rails = {stack == mpi::StackKind::Mvapich2 ? net::ib_profile() : net::mx_profile()};
+  check_every_op(cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, CollBaselineConformance,
+    ::testing::Combine(::testing::Values(mpi::StackKind::Mvapich2, mpi::StackKind::OpenMpiCmMx),
+                       ::testing::Values(coll::Algo::Binomial, coll::Algo::Kary,
+                                         coll::Algo::Ring, coll::Algo::RecDoubling),
+                       ::testing::Values(5, 8)),
+    [](const auto& info) {
+      std::string name = mpi::to_string(std::get<0>(info.param));
+      std::erase(name, '-');
+      name += '_';
+      name += coll::to_string(std::get<1>(info.param));
+      name += "_p";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------------

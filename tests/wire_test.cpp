@@ -19,7 +19,7 @@ using nmad::RailAd;
 using nmad::WireMsg;
 
 TEST(WireFormat, EveryKindHeaderMatchesItsFieldLayout) {
-  static_assert(Entry::kNumKinds == 7, "new Kind added: extend this test");
+  static_assert(Entry::kNumKinds == 6, "new Kind added: extend this test");
   // Eager packs its matching info (kind + dst + tag + seq) into 16 bytes.
   EXPECT_EQ(Entry::kEagerHeader, 16u);
   // RdvChunk is an Eager-style header plus the 4-byte grant epoch it answers
@@ -36,10 +36,6 @@ TEST(WireFormat, EveryKindHeaderMatchesItsFieldLayout) {
   // RdvFin is the receiver's completion ack: rdv id (8) + landed-byte count
   // (8) + the grant epoch it confirms (4). Sender retirement gates on it.
   EXPECT_EQ(Entry::kRdvFinHeader, 8u + 8u + 4u);
-  // CollCtl rides an Eager-style header plus collective id (8), combine
-  // value (8) and the op/phase word (4) — NIC collective control traffic is
-  // wire-charged like everything else.
-  EXPECT_EQ(Entry::kCollCtlHeader, Entry::kEagerHeader + 8 + 8 + 4);
   // RailAd: fabric rail (4) + busy delta (8) + backlog bytes (8).
   EXPECT_EQ(RailAd::kWireSize, 4u + 8u + 8u);
 }
@@ -58,27 +54,17 @@ TEST(WireFormat, HeaderBytesDispatchesOnKind) {
   EXPECT_EQ(e.header_bytes(), Entry::kRailDownHeader);
   e.kind = Entry::Kind::RdvFin;
   EXPECT_EQ(e.header_bytes(), Entry::kRdvFinHeader);
-  e.kind = Entry::Kind::CollCtl;
-  EXPECT_EQ(e.header_bytes(), Entry::kCollCtlHeader);
 }
 
-TEST(WireFormat, FinAndCollCtlCarryNoPayload) {
-  // RdvFin reuses rdv_total as the landed-byte ack and CollCtl carries its
-  // combine value in fixed header fields; neither has a payload vector, so
-  // the wire charge is exactly the header.
+TEST(WireFormat, FinCarriesNoPayload) {
+  // RdvFin reuses rdv_total as the landed-byte ack and has no payload
+  // vector, so the wire charge is exactly the header.
   Entry fin;
   fin.kind = Entry::Kind::RdvFin;
   fin.rdv_id = 9;
   fin.rdv_total = 1_MiB;  // landed-byte ack: header field, not payload
   fin.epoch = 2;
   EXPECT_EQ(fin.wire_bytes(), Entry::kRdvFinHeader);
-
-  Entry ctl;
-  ctl.kind = Entry::Kind::CollCtl;
-  ctl.rdv_id = 77;        // collective id
-  ctl.coll_value = 3.25;  // combine contribution
-  ctl.coll_ctl = 0x102;   // op | kCollDown
-  EXPECT_EQ(ctl.wire_bytes(), Entry::kCollCtlHeader);
 }
 
 TEST(WireFormat, CtsHeaderGrowsByWireSizePerRailAd) {
