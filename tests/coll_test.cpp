@@ -3,8 +3,9 @@
 // alltoallv, scan and reduce_scatter_block, which have one algorithm each,
 // alongside them) x a rank sweep (including non-powers-of-two) against
 // closed-form oracles, on MPICH2-NMad and on the MVAPICH2 and Open MPI CM/MX
-// baselines; byte-identical same-seed determinism per algorithm; and a chaos
-// leg driving an allreduce through a timed rail death.
+// baselines, and with one rank per node so that every message crosses a NIC;
+// byte-identical same-seed determinism per algorithm; and a chaos leg driving
+// an allreduce through a timed rail death.
 //
 // An algorithm that cannot serve a shape (recursive-doubling alltoall on a
 // non-power-of-two group) demotes per the documented rule — conformance must
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -42,8 +44,37 @@ mpi::ClusterConfig coll_cfg(int procs, coll::Algo a) {
   return cfg;
 }
 
-constexpr coll::Algo kAlgos[] = {coll::Algo::Auto, coll::Algo::Binomial, coll::Algo::Kary,
-                                 coll::Algo::Ring, coll::Algo::RecDoubling};
+// The cases of the conformance sweep and the determinism check: each
+// algorithm selection on coll_cfg's placement (four ranks a node, so a
+// collective mixes Nemesis shared memory with the NICs), and `nic`, the
+// default selection with one rank per node, so every collective message
+// crosses a NIC and nmad's multirail strategy.
+enum class Case : std::uint8_t { Auto, Binomial, Kary, Ring, RecDoubling, Nic };
+
+constexpr Case kCases[] = {Case::Auto, Case::Binomial,    Case::Kary,
+                           Case::Ring, Case::RecDoubling, Case::Nic};
+
+coll::Algo algo_of(Case k) {
+  switch (k) {
+    case Case::Binomial: return coll::Algo::Binomial;
+    case Case::Kary: return coll::Algo::Kary;
+    case Case::Ring: return coll::Algo::Ring;
+    case Case::RecDoubling: return coll::Algo::RecDoubling;
+    case Case::Auto:
+    case Case::Nic: break;
+  }
+  return coll::Algo::Auto;
+}
+
+std::string case_name(Case k) {
+  return k == Case::Nic ? "nic" : coll::to_string(algo_of(k));
+}
+
+mpi::ClusterConfig case_cfg(int procs, Case k) {
+  mpi::ClusterConfig cfg = coll_cfg(procs, algo_of(k));
+  if (k == Case::Nic) cfg.nodes = procs;
+  return cfg;
+}
 
 // ---------------------------------------------------------------------------
 // Conformance sweep: algorithm x rank count (x stack), every op with its oracle
@@ -218,19 +249,21 @@ void check_every_op(const mpi::ClusterConfig& cfg) {
 }
 
 class CollConformance
-    : public ::testing::TestWithParam<std::tuple<coll::Algo, int>> {};
+    : public ::testing::TestWithParam<std::tuple<Case, int>> {};
 
 TEST_P(CollConformance, EveryOpMatchesItsOracle) {
-  const auto [algo, procs] = GetParam();
-  check_every_op(coll_cfg(procs, algo));
+  const auto [k, procs] = GetParam();
+  check_every_op(case_cfg(procs, k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CollConformance,
-    ::testing::Combine(::testing::ValuesIn(kAlgos), ::testing::Values(3, 4, 8, 32, 64)),
+    ::testing::Combine(::testing::ValuesIn(kCases), ::testing::Values(3, 4, 8, 32, 64)),
     [](const auto& info) {
-      return coll::to_string(std::get<0>(info.param)) + std::string("_p") +
-             std::to_string(std::get<1>(info.param));
+      std::string name = case_name(std::get<0>(info.param));
+      name += "_p";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // The baselines reach coll::Engine through their own transports (their own
@@ -329,8 +362,8 @@ struct Artifacts {
   std::string trace;
 };
 
-Artifacts run_traced(coll::Algo algo) {
-  mpi::ClusterConfig cfg = coll_cfg(8, algo);
+Artifacts run_traced(Case k) {
+  mpi::ClusterConfig cfg = case_cfg(8, k);
   cfg.trace = true;
   mpi::Cluster cluster(cfg);
   cluster.run([&](mpi::Comm& c) {
@@ -364,7 +397,7 @@ Artifacts run_traced(coll::Algo algo) {
   return {metrics.str(), trace.str()};
 }
 
-class CollDeterminism : public ::testing::TestWithParam<coll::Algo> {};
+class CollDeterminism : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CollDeterminism, SameSeedRunsAreByteIdentical) {
   const Artifacts a = run_traced(GetParam());
@@ -373,8 +406,8 @@ TEST_P(CollDeterminism, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(a.trace, b.trace) << "same-seed collective runs diverged (trace)";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgos, CollDeterminism, ::testing::ValuesIn(kAlgos),
-                         [](const auto& info) { return std::string(coll::to_string(info.param)); });
+INSTANTIATE_TEST_SUITE_P(AllAlgos, CollDeterminism, ::testing::ValuesIn(kCases),
+                         [](const auto& info) { return case_name(info.param); });
 
 // ---------------------------------------------------------------------------
 // Chaos leg: an allreduce large enough to hold rendezvous chunks in flight
