@@ -1,6 +1,5 @@
 #include "baseline/base_transport.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -10,7 +9,8 @@ namespace {
 constexpr Time kSelfLatency = 0.1_us;
 }  // namespace
 
-BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra)
+BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra,
+                             std::size_t eager_max)
     : eng_(env.eng),
       fabric_(env.fabric),
       peers_(env.peers),
@@ -20,7 +20,8 @@ BaseTransport::BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra
       my_node_(env.fabric->topology().node_of(env.rank)),
       sw_send_(sw_send),
       sw_recv_(sw_recv),
-      shm_extra_(shm_extra) {
+      shm_extra_(shm_extra),
+      eager_max_(eager_max) {
   peers_->add(rank_, this);
   if (shm_) {
     shm_->set_deliver(local_index_, [this](nemesis::Message&& m) { handle_shm(std::move(m)); });
@@ -51,50 +52,23 @@ void BaseTransport::release(mpi::TxRequest* r) {
 // matching
 // ---------------------------------------------------------------------------
 
-BaseRequest* BaseTransport::match_posted(int src, int tag, int context) {
-  auto it = std::find_if(posted_.begin(), posted_.end(), [&](const BaseRequest* r) {
-    return mpi::envelope_matches(r->peer, r->tag, r->context, src, tag, context);
-  });
-  if (it == posted_.end()) return nullptr;
-  BaseRequest* r = *it;
-  posted_.erase(it);
-  return r;
-}
-
-bool BaseTransport::match_unexpected(BaseRequest* req) {
-  auto it = std::find_if(unexpected_.begin(), unexpected_.end(), [req](const UnexMsg& m) {
-    return mpi::envelope_matches(req->peer, req->tag, req->context, m.src, m.tag, m.context);
-  });
-  if (it == unexpected_.end()) return false;
-  UnexMsg msg = std::move(*it);
-  unexpected_.erase(it);
-  if (msg.rdv) {
-    grant_rdv(req, msg.rts);
+void BaseTransport::arrive(BasePkt&& pkt) {
+  if (BaseRequest* req = queues_.take_posted(pkt)) {
+    accept(req, std::move(pkt));
   } else {
-    NMX_ASSERT_MSG(msg.payload.size() <= req->len, "message overflows receive buffer");
-    if (!msg.payload.empty()) std::memcpy(req->rbuf, msg.payload.data(), msg.payload.size());
-    complete_recv_after(req, msg.src, msg.tag, msg.payload.size(),
-                        calib::copy_cost(msg.payload.size()));
+    queues_.park(std::move(pkt));
   }
-  return true;
 }
 
-void BaseTransport::deliver_eager(int src, int tag, int context,
-                                  std::vector<std::byte> payload) {
-  BaseRequest* req = match_posted(src, tag, context);
-  if (req == nullptr) {
-    UnexMsg u;
-    u.src = src;
-    u.tag = tag;
-    u.context = context;
-    u.len = payload.size();
-    u.payload = std::move(payload);
-    unexpected_.push_back(std::move(u));
+void BaseTransport::accept(BaseRequest* req, BasePkt&& pkt) {
+  if (pkt.kind == BasePkt::Kind::Rts) {
+    grant_rdv(req, pkt);
     return;
   }
-  NMX_ASSERT_MSG(payload.size() <= req->len, "message overflows receive buffer");
-  if (!payload.empty()) std::memcpy(req->rbuf, payload.data(), payload.size());
-  complete_recv_after(req, src, tag, payload.size(), calib::copy_cost(payload.size()));
+  const std::size_t n = pkt.bytes.size();
+  NMX_ASSERT_MSG(n <= req->len, "message overflows receive buffer");
+  if (n > 0) std::memcpy(req->rbuf, pkt.bytes.data(), n);
+  complete_recv_after(req, pkt.src, pkt.tag, n, calib::copy_cost(n));
 }
 
 // ---------------------------------------------------------------------------
@@ -126,7 +100,11 @@ mpi::TxRequest* BaseTransport::irecv(int src, int tag, int context, void* buf,
   req->context = context;
   req->rbuf = static_cast<std::byte*>(buf);
   req->len = len;
-  if (!match_unexpected(req)) posted_.push_back(req);
+  if (std::optional<BasePkt> pkt = queues_.take_unexpected(*req)) {
+    accept(req, std::move(*pkt));
+  } else {
+    queues_.post(req);
+  }
   return req;
 }
 
@@ -154,6 +132,22 @@ void BaseTransport::complete_send(BaseRequest* req) {
 // ---------------------------------------------------------------------------
 // network path
 // ---------------------------------------------------------------------------
+
+void BaseTransport::net_send(BaseRequest* req, const void* buf, std::size_t len) {
+  const auto* bytes = static_cast<const std::byte*>(buf);
+  BasePkt pkt{.src = rank_, .tag = req->tag, .context = req->context, .len = len, .bytes = {}};
+  if (len <= eager_max_) {
+    // Copied into the packet (a pre-registered buffer): the send completes
+    // at local NIC egress.
+    pkt.bytes.assign(bytes, bytes + len);
+    post_tx(req->peer, calib::copy_cost(len), std::move(pkt), req);
+    return;
+  }
+  pkt.kind = BasePkt::Kind::Rts;
+  pkt.xid = next_xid_++;
+  rdv_out_.emplace(pkt.xid, RdvOut{req, bytes});
+  post_tx(req->peer, 0, std::move(pkt));
+}
 
 void BaseTransport::post_tx(int dst, Time prep, BasePkt pkt, BaseRequest* req) {
   PendingTx tx{dst, prep, std::move(pkt), req};
@@ -207,43 +201,17 @@ void BaseTransport::drain() {
 }
 
 void BaseTransport::deliver(BasePkt&& pkt) {
-  switch (pkt.kind) {
-    case BasePkt::Kind::Eager:
-      deliver_eager(pkt.src, pkt.tag, pkt.context, std::move(pkt.bytes));
-      break;
-    case BasePkt::Kind::Rts: {
-      BaseRequest* req = match_posted(pkt.src, pkt.tag, pkt.context);
-      if (req == nullptr) {
-        UnexMsg u;
-        u.rdv = true;
-        u.src = pkt.src;
-        u.tag = pkt.tag;
-        u.context = pkt.context;
-        u.len = pkt.total;
-        u.rts = std::move(pkt);
-        unexpected_.push_back(std::move(u));
-      } else {
-        grant_rdv(req, pkt);
-      }
-      break;
-    }
-    default:
-      handle_protocol(std::move(pkt));
+  if (pkt.kind == BasePkt::Kind::Eager || pkt.kind == BasePkt::Kind::Rts) {
+    arrive(std::move(pkt));
+  } else {
+    handle_protocol(std::move(pkt));
   }
 }
 
 std::optional<mpi::Status> BaseTransport::iprobe(int src, int tag, int context) {
   enter_progress();
   leave_progress();
-  for (const UnexMsg& m : unexpected_) {
-    if (!mpi::envelope_matches(src, tag, context, m.src, m.tag, m.context)) continue;
-    mpi::Status st;
-    st.source = m.src;
-    st.tag = m.tag;
-    st.count = m.len;
-    return st;
-  }
-  return std::nullopt;
+  return queues_.probe(src, tag, context);
 }
 
 void BaseTransport::enter_progress() {
@@ -263,12 +231,10 @@ void BaseTransport::leave_progress() {
 
 void BaseTransport::send_self(BaseRequest* req, const void* buf, std::size_t len) {
   const auto* bytes = static_cast<const std::byte*>(buf);
-  std::vector<std::byte> payload(bytes, bytes + len);
-  const int tag = req->tag;
-  const int ctx = req->context;
-  eng_->schedule_in_checked(kSelfLatency, [this, tag, ctx, payload = std::move(payload)]() mutable {
-    deliver_eager(rank_, tag, ctx, std::move(payload));
-  });
+  BasePkt pkt{.src = rank_, .tag = req->tag, .context = req->context, .len = len,
+              .bytes = {bytes, bytes + len}};
+  eng_->schedule_in_checked(kSelfLatency,
+                            [this, pkt = std::move(pkt)]() mutable { arrive(std::move(pkt)); });
   complete_send(req);
 }
 
@@ -286,13 +252,13 @@ void BaseTransport::send_shm(BaseRequest* req, const void* buf, std::size_t len)
 }
 
 void BaseTransport::handle_shm(nemesis::Message&& m) {
-  const nemesis::ShmHdr& hdr = m.header;
+  BasePkt pkt{.src = m.header.src_rank, .tag = m.header.tag, .context = m.header.context,
+              .len = m.payload.size(), .bytes = std::move(m.payload)};
   if (shm_extra_ > 0) {
-    eng_->schedule_in_checked(shm_extra_, [this, hdr, payload = std::move(m.payload)]() mutable {
-      deliver_eager(hdr.src_rank, hdr.tag, hdr.context, std::move(payload));
-    });
+    eng_->schedule_in_checked(shm_extra_,
+                              [this, pkt = std::move(pkt)]() mutable { arrive(std::move(pkt)); });
   } else {
-    deliver_eager(hdr.src_rank, hdr.tag, hdr.context, std::move(m.payload));
+    arrive(std::move(pkt));
   }
 }
 

@@ -1,13 +1,18 @@
 // Shared machinery for the comparison MPI stacks (MVAPICH2 1.0.3-like and
-// Open MPI 1.2.7-like, §4): centralized posted/unexpected matching (these
-// stacks match in one place, which is also why MPI_ANY_SOURCE is trivial for
-// them), the gated progress rule (no background progression — the very thing
-// Figure 7 shows they lack), a simple shared-memory path over the Nemesis
-// cell channel, and a prep-CPU + NIC submission pipeline.
+// Open MPI 1.2.7-like, §4). Both are ADI3-style devices that match every
+// message in one place, which is also why MPI_ANY_SOURCE is trivial for
+// them: self, shared-memory and network Eager/Rts arrivals all go through
+// one mpi::MatchQueues (the queue pair CH3 uses for the traffic it matches)
+// via arrive() (match or park) and accept() (eager copy-out, or grant_rdv).
+// The base also owns the one send path — an eager packet at or below the
+// stack's eager threshold, else an Rts with its outbound rendezvous entry —
+// both rendezvous tables, the gated progress rule (no background
+// progression, the very thing Figure 7 shows they lack), a shared-memory
+// path over the Nemesis cell channel, and a prep-CPU + NIC pipeline.
 //
-// Derived classes implement the network protocol: eager thresholds,
-// rendezvous flavor, registration caching, fragmentation — the mechanisms the
-// paper's comparisons hinge on.
+// Derived classes supply the eager threshold and the rendezvous after the
+// grant: registration caching, fragmentation, pipelining — the mechanisms
+// the paper's comparisons hinge on.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "mpi/match_queues.hpp"
 #include "mpi/transport.hpp"
 #include "nemesis/shm.hpp"
 #include "net/calibration.hpp"
@@ -34,8 +40,9 @@ struct BaseRequest : mpi::TxRequest {
   int context = 0;
   std::byte* rbuf = nullptr;
   std::size_t len = 0;
-  int matched_tag = 0;             ///< actual tag once a rendezvous matched
-  std::size_t frag_received = 0;   ///< reassembly progress (fragment protocols)
+  int matched_tag = 0;  ///< actual tag once a rendezvous matched
+  /// Fragment protocols: bytes sent so far (send) or received so far (recv).
+  std::size_t frag_bytes = 0;
   std::list<BaseRequest>::iterator self{};
 };
 
@@ -47,7 +54,7 @@ struct BasePkt {
   int tag = 0;
   int context = 0;
   std::uint64_t xid = 0;      ///< rendezvous / message id
-  std::size_t total = 0;      ///< full message size (Rts, Frag reassembly)
+  std::size_t len = 0;        ///< full message size
   std::size_t offset = 0;     ///< Frag position
   std::vector<std::byte> bytes;
 
@@ -75,18 +82,24 @@ class BaseTransport : public mpi::Transport {
   std::optional<mpi::Status> iprobe(int src, int tag, int context) override;
 
   std::size_t outstanding_requests() const { return requests_.size(); }
-  std::size_t unexpected_count() const { return unexpected_.size(); }
+  std::size_t unexpected_count() const { return queues_.unexpected_count(); }
 
  protected:
   /// `sw_send`/`sw_recv`: per-message software cost on each side.
   /// `shm_extra`: additional one-way cost of this stack's shm path relative
   /// to raw Nemesis (Fig 6a shows Open MPI's shm above Nemesis).
-  BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra);
+  /// `eager_max`: largest network message sent eagerly.
+  BaseTransport(Env env, Time sw_send, Time sw_recv, Time shm_extra, std::size_t eager_max);
   ~BaseTransport() override;
 
+  /// A rendezvous send awaiting (or streaming after) its CTS: `req->len`
+  /// bytes from `buf`, the sender's buffer, to `req->peer`.
+  struct RdvOut {
+    BaseRequest* req;
+    const std::byte* buf;
+  };
+
   // ---- hooks the concrete stacks implement --------------------------------
-  /// Start the network protocol for a send (eager or rendezvous).
-  virtual void net_send(BaseRequest* req, const void* buf, std::size_t len) = 0;
   /// A receive matched an Rts: grant it (send CTS, set up reassembly).
   virtual void grant_rdv(BaseRequest* req, const BasePkt& rts) = 0;
   /// Protocol packets (Cts, Data, Frag) — Eager and Rts are routed by the
@@ -105,27 +118,16 @@ class BaseTransport : public mpi::Transport {
   /// Complete a recv request (status + wakeup), charging `delay` (copy-out).
   void complete_recv_after(BaseRequest* req, int src, int tag, std::size_t count, Time delay);
   void complete_send(BaseRequest* req);
-  /// Central matching entry for a fully-arrived message that behaves like an
-  /// eager delivery (payload ready to copy).
-  void deliver_eager(int src, int tag, int context, std::vector<std::byte> payload);
 
   sim::Engine& eng() { return *eng_; }
   net::Fabric& fabric() const { return *fabric_; }
   bool in_progress() const { return depth_ > 0; }
   int rail() const { return 0; }  ///< baselines drive a single rail
 
+  std::map<std::uint64_t, RdvOut> rdv_out_;                       ///< xid -> send
   std::map<std::pair<int, std::uint64_t>, BaseRequest*> rdv_in_;  ///< (src,xid)->req
 
  private:
-  struct UnexMsg {
-    bool rdv = false;
-    int src = -1;
-    int tag = 0;
-    int context = 0;
-    std::size_t len = 0;
-    std::vector<std::byte> payload;
-    BasePkt rts;  ///< original Rts packet (rdv case)
-  };
   struct PendingTx {
     int dst;
     Time prep;
@@ -134,8 +136,9 @@ class BaseTransport : public mpi::Transport {
   };
 
   BaseRequest* new_request(BaseRequest::Kind kind);
-  BaseRequest* match_posted(int src, int tag, int context);
-  bool match_unexpected(BaseRequest* req);
+  void net_send(BaseRequest* req, const void* buf, std::size_t len);
+  void arrive(BasePkt&& pkt);                      // Eager/Rts: match or park
+  void accept(BaseRequest* req, BasePkt&& pkt);    // a matched Eager/Rts -> its request
   void deliver(BasePkt&& pkt);  // post-gating dispatch
   void rx_wire(BasePkt&& pkt);  // arrival from the fabric
   void drain();
@@ -152,10 +155,11 @@ class BaseTransport : public mpi::Transport {
   int local_index_;
   int my_node_;
   Time sw_send_, sw_recv_, shm_extra_;
+  std::size_t eager_max_;
 
   std::list<BaseRequest> requests_;
-  std::list<BaseRequest*> posted_;
-  std::list<UnexMsg> unexpected_;
+  mpi::MatchQueues<BaseRequest, BasePkt> queues_;
+  std::uint64_t next_xid_ = 1;
   std::deque<BasePkt> pending_rx_;
   std::deque<PendingTx> pending_tx_;
   net::Channel prep_cpu_;

@@ -11,7 +11,8 @@ constexpr std::size_t kRcacheCapacity = 1_GiB;
 }  // namespace
 
 MvapichTransport::MvapichTransport(Env env, bool use_rcache)
-    : BaseTransport(env, calib::kMvapichSwSend, calib::kMvapichSwRecv, /*shm_extra=*/0.05_us),
+    : BaseTransport(env, calib::kMvapichSwSend, calib::kMvapichSwRecv, /*shm_extra=*/0.05_us,
+                    calib::kMvapichEagerThreshold),
       use_rcache_(use_rcache),
       rcache_(kRcacheCapacity, [](std::size_t bytes) { return calib::ib_reg_cost(bytes); }) {}
 
@@ -27,37 +28,11 @@ Time MvapichTransport::acquire_registration(const void* buf, std::size_t len) {
   return cost;
 }
 
-void MvapichTransport::net_send(BaseRequest* req, const void* buf, std::size_t len) {
-  if (len <= calib::kMvapichEagerThreshold) {
-    // Copy through a pre-registered vbuf; completes at local NIC completion.
-    BasePkt pkt;
-    pkt.kind = BasePkt::Kind::Eager;
-    pkt.src = rank();
-    pkt.tag = req->tag;
-    pkt.context = req->context;
-    pkt.bytes.resize(len);
-    if (len > 0) std::memcpy(pkt.bytes.data(), buf, len);
-    post_tx(req->peer, calib::copy_cost(len), std::move(pkt), req);
-    return;
-  }
-  // RDMA rendezvous.
-  const std::uint64_t xid = next_xid_++;
-  rdv_out_.emplace(xid, std::make_pair(req, static_cast<const std::byte*>(buf)));
-  BasePkt rts;
-  rts.kind = BasePkt::Kind::Rts;
-  rts.src = rank();
-  rts.tag = req->tag;
-  rts.context = req->context;
-  rts.xid = xid;
-  rts.total = len;
-  post_tx(req->peer, 0, std::move(rts));
-}
-
 void MvapichTransport::grant_rdv(BaseRequest* req, const BasePkt& rts) {
   req->matched_tag = rts.tag;
   rdv_in_.emplace(std::make_pair(rts.src, rts.xid), req);
   // Register the receive buffer (cache hit on reuse) before granting.
-  const Time reg = acquire_registration(req->rbuf, rts.total);
+  const Time reg = acquire_registration(req->rbuf, rts.len);
   BasePkt cts;
   cts.kind = BasePkt::Kind::Cts;
   cts.src = rank();
@@ -70,14 +45,16 @@ void MvapichTransport::handle_protocol(BasePkt&& pkt) {
     case BasePkt::Kind::Cts: {
       auto it = rdv_out_.find(pkt.xid);
       NMX_ASSERT_MSG(it != rdv_out_.end(), "CTS for unknown rendezvous");
-      auto [req, buf] = it->second;
+      const auto [req, buf] = it->second;
       rdv_out_.erase(it);
+      // RDMA rendezvous: the sender's buffer is registered (cache hit on
+      // reuse) and read in place.
       const Time reg = acquire_registration(buf, req->len);
       BasePkt data;
       data.kind = BasePkt::Kind::Data;
       data.src = rank();
       data.xid = pkt.xid;
-      data.total = req->len;
+      data.len = req->len;
       data.bytes.assign(buf, buf + req->len);  // RDMA read of user memory
       post_tx(pkt.src, reg, std::move(data), req);
       break;

@@ -26,7 +26,6 @@ class MvapichTransport final : public BaseTransport {
   const rcache::RegistrationCache& rcache() const { return rcache_; }
 
  protected:
-  void net_send(BaseRequest* req, const void* buf, std::size_t len) override;
   void grant_rdv(BaseRequest* req, const BasePkt& rts) override;
   void handle_protocol(BasePkt&& pkt) override;
 
@@ -35,8 +34,6 @@ class MvapichTransport final : public BaseTransport {
 
   bool use_rcache_;
   rcache::RegistrationCache rcache_;
-  std::uint64_t next_xid_ = 1;
-  std::map<std::uint64_t, std::pair<BaseRequest*, const std::byte*>> rdv_out_;
 };
 
 }  // namespace nmx::baseline

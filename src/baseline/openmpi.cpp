@@ -39,40 +39,17 @@ std::size_t OmpiTransport::eager_threshold_for(OmpiVariant v) {
 }
 
 OmpiTransport::OmpiTransport(Env env, OmpiVariant variant)
-    : BaseTransport(env, sw_send_for(variant), sw_recv_for(variant), /*shm_extra=*/0.15_us),
+    : BaseTransport(env, sw_send_for(variant), sw_recv_for(variant), /*shm_extra=*/0.15_us,
+                    eager_threshold_for(variant)),
       variant_(variant) {}
 
 bool OmpiTransport::needs_reg() const {
   return fabric().profile(rail()).needs_registration;
 }
 
-void OmpiTransport::net_send(BaseRequest* req, const void* buf, std::size_t len) {
-  if (len <= eager_threshold_for(variant_)) {
-    BasePkt pkt;
-    pkt.kind = BasePkt::Kind::Eager;
-    pkt.src = rank();
-    pkt.tag = req->tag;
-    pkt.context = req->context;
-    pkt.bytes.resize(len);
-    if (len > 0) std::memcpy(pkt.bytes.data(), buf, len);
-    post_tx(req->peer, calib::copy_cost(len), std::move(pkt), req);
-    return;
-  }
-  const std::uint64_t xid = next_xid_++;
-  rdv_out_.emplace(xid, OutRdv{req, static_cast<const std::byte*>(buf), 0});
-  BasePkt rts;
-  rts.kind = BasePkt::Kind::Rts;
-  rts.src = rank();
-  rts.tag = req->tag;
-  rts.context = req->context;
-  rts.xid = xid;
-  rts.total = len;
-  post_tx(req->peer, 0, std::move(rts));
-}
-
 void OmpiTransport::grant_rdv(BaseRequest* req, const BasePkt& rts) {
   req->matched_tag = rts.tag;
-  req->frag_received = 0;
+  req->frag_bytes = 0;
   rdv_in_.emplace(std::make_pair(rts.src, rts.xid), req);
   BasePkt cts;
   cts.kind = BasePkt::Kind::Cts;
@@ -84,18 +61,17 @@ void OmpiTransport::grant_rdv(BaseRequest* req, const BasePkt& rts) {
 void OmpiTransport::send_next_large_frag(std::uint64_t xid) {
   auto it = rdv_out_.find(xid);
   NMX_ASSERT(it != rdv_out_.end());
-  OutRdv& o = it->second;
-  BaseRequest* req = o.req;
-  const std::size_t frag = std::min(calib::kOmpiPipelineFrag, req->len - o.offset);
+  const auto [req, buf] = it->second;
+  const std::size_t frag = std::min(calib::kOmpiPipelineFrag, req->len - req->frag_bytes);
   BasePkt pkt;
   pkt.kind = BasePkt::Kind::Frag;
   pkt.src = rank();
   pkt.xid = xid;
-  pkt.total = req->len;
-  pkt.offset = o.offset;
-  pkt.bytes.assign(o.buf + o.offset, o.buf + o.offset + frag);
-  o.offset += frag;
-  const bool last = o.offset >= req->len;
+  pkt.len = req->len;
+  pkt.offset = req->frag_bytes;
+  pkt.bytes.assign(buf + pkt.offset, buf + pkt.offset + frag);
+  req->frag_bytes += frag;
+  const bool last = req->frag_bytes >= req->len;
   const bool first = pkt.offset == 0;
   // The first fragment pays its registration + descriptor management up
   // front; later fragments' registration overlaps the previous transfer
@@ -123,16 +99,15 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
     case BasePkt::Kind::Cts: {
       auto it = rdv_out_.find(pkt.xid);
       NMX_ASSERT_MSG(it != rdv_out_.end(), "CTS for unknown rendezvous");
-      OutRdv& o = it->second;
-      BaseRequest* req = o.req;
+      const auto [req, buf] = it->second;
       if (variant_ == OmpiVariant::CmMx) {
         // MTL: single transfer by the MX library.
         BasePkt data;
         data.kind = BasePkt::Kind::Data;
         data.src = rank();
         data.xid = pkt.xid;
-        data.total = req->len;
-        data.bytes.assign(o.buf, o.buf + req->len);
+        data.len = req->len;
+        data.bytes.assign(buf, buf + req->len);
         rdv_out_.erase(it);
         post_tx(req->peer, 0, std::move(data), req);
         break;
@@ -140,7 +115,6 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
       if (req->len <= kSendProtocolMax) {
         // Copy-in/copy-out send protocol: a stream of copied fragments,
         // pipelined on the prep CPU vs the NIC.
-        const std::byte* buf = o.buf;
         const std::size_t total = req->len;
         const int dst = req->peer;
         rdv_out_.erase(it);
@@ -150,7 +124,7 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
           f.kind = BasePkt::Kind::Frag;
           f.src = rank();
           f.xid = pkt.xid;
-          f.total = total;
+          f.len = total;
           f.offset = off;
           f.bytes.assign(buf + off, buf + off + frag);
           const bool last = off + frag >= total;
@@ -184,10 +158,10 @@ void OmpiTransport::handle_protocol(BasePkt&& pkt) {
       if (!pkt.bytes.empty()) {
         std::memcpy(req->rbuf + pkt.offset, pkt.bytes.data(), pkt.bytes.size());
       }
-      req->frag_received += pkt.bytes.size();
-      if (req->frag_received >= pkt.total) {
+      req->frag_bytes += pkt.bytes.size();
+      if (req->frag_bytes >= pkt.len) {
         rdv_in_.erase(it);
-        complete_recv_after(req, pkt.src, req->matched_tag, pkt.total, 0);
+        complete_recv_after(req, pkt.src, req->matched_tag, pkt.len, 0);
       }
       break;
     }

@@ -31,17 +31,11 @@ class OmpiTransport final : public BaseTransport {
   double compute_dilation() const override { return kDilation; }
 
  protected:
-  void net_send(BaseRequest* req, const void* buf, std::size_t len) override;
   void grant_rdv(BaseRequest* req, const BasePkt& rts) override;
   void handle_protocol(BasePkt&& pkt) override;
   void on_send_egress(BaseRequest* req, std::uint64_t xid) override;
 
  private:
-  struct OutRdv {
-    BaseRequest* req = nullptr;
-    const std::byte* buf = nullptr;
-    std::size_t offset = 0;
-  };
   static constexpr double kDilation = 1.09;  ///< compute-time multiplier (file comment)
 
   static Time sw_send_for(OmpiVariant v);
@@ -51,8 +45,6 @@ class OmpiTransport final : public BaseTransport {
   void send_next_large_frag(std::uint64_t xid);
 
   OmpiVariant variant_;
-  std::uint64_t next_xid_ = 1;
-  std::map<std::uint64_t, OutRdv> rdv_out_;
 };
 
 }  // namespace nmx::baseline

@@ -1,6 +1,5 @@
 #include "ch3/process.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -123,6 +122,10 @@ void Ch3Process::run_nmad_completion(nmad::Request& r) {
   fn(r);
 }
 
+void Ch3Process::release_later(nmad::Request& nr) {
+  eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
+}
+
 nmad::Request* Ch3Process::nm_isend(int dst, nmad::Tag tag, const void* buf, std::size_t len,
                                     std::function<void(nmad::Request&)> done, obs::SpanId span) {
   return core_->isend(dst, tag, buf, len, new_ctx(std::move(done)), span);
@@ -177,52 +180,30 @@ void Ch3Process::complete_send(MpidRequest* req) {
 // CH3 queue pair
 // ---------------------------------------------------------------------------
 
-MpidRequest* Ch3Process::match_posted(int src, int tag, int context) {
-  for (MpidRequest* r : posted_queue_) {
-    if (mpi::envelope_matches(r->peer, r->tag, r->context, src, tag, context)) return r;
-  }
-  return nullptr;
-}
-
-void Ch3Process::push_posted(MpidRequest* req) {
-  posted_queue_.push_back(req);
-  req->posted_it = std::prev(posted_queue_.end());
-  req->in_posted_queue = true;
-}
-
-void Ch3Process::remove_posted(MpidRequest* req) {
-  if (!req->in_posted_queue) return;
-  posted_queue_.erase(req->posted_it);
-  req->in_posted_queue = false;
-}
-
 bool Ch3Process::match_unexpected(MpidRequest* req) {
-  auto it = std::find_if(unexpected_.begin(), unexpected_.end(), [req](const UnexMsg& m) {
-    return mpi::envelope_matches(req->peer, req->tag, req->context, m.src, m.tag, m.context);
-  });
-  if (it == unexpected_.end()) return false;
-  UnexMsg msg = std::move(*it);
-  unexpected_.erase(it);
+  std::optional<UnexMsg> msg = queues_.take_unexpected(*req);
+  if (!msg) return false;
   if (obs::Recorder* rec = eng_.recorder()) {
-    rec->metrics().gauge("ch3.unexpected.depth").set(static_cast<double>(unexpected_.size()));
+    rec->metrics()
+        .gauge("ch3.unexpected.depth")
+        .set(static_cast<double>(queues_.unexpected_count()));
   }
-  accept(req, std::move(msg));
+  accept(req, std::move(*msg));
   return true;
 }
 
 void Ch3Process::deliver_local(UnexMsg msg) {
-  MpidRequest* req = match_posted(msg.src, msg.tag, msg.context);
+  MpidRequest* req = queues_.take_posted(msg);
   if (req == nullptr) {
     if (obs::Recorder* rec = eng_.recorder()) {
       rec->instant(eng_.now(), rank_, obs::Cat::Unexpected, msg.len, msg.src);
       rec->metrics()
           .gauge("ch3.unexpected.depth")
-          .set(static_cast<double>(unexpected_.size() + 1));
+          .set(static_cast<double>(queues_.unexpected_count() + 1));
     }
-    unexpected_.push_back(std::move(msg));
+    queues_.park(std::move(msg));
     return;
   }
-  remove_posted(req);
   if (req->peer == mpi::ANY_SOURCE && cfg_.bypass && !as_lists_.empty()) {
     // §3.2.2: an intra-node match removes the any-source entry and releases
     // the requests queued behind it.
@@ -314,7 +295,7 @@ mpi::TxRequest* Ch3Process::irecv(int src, int tag, int context, void* buf, std:
   const bool any_source = src == mpi::ANY_SOURCE;
   if (any_source || route(src) != Route::Nmad) {
     if (match_unexpected(req)) return req;
-    push_posted(req);  // eligible for self / shared-memory / legacy matching
+    queues_.post(req);  // eligible for self / shared-memory / legacy matching
     if (any_source && cfg_.bypass) {
       as_lists_.add_any_source(req);
       as_probe_all();  // the message may already sit in nmad's buffers
@@ -386,7 +367,7 @@ void Ch3Process::as_probe_all() {
 void Ch3Process::bind_any_source(MpidRequest* req, const nmad::ProbeInfo& found) {
   // The message sits in NewMadeleine's buffers: create the NewMadeleine
   // request dynamically; "it will be completed shortly after its creation".
-  remove_posted(req);  // no longer eligible for shared-memory matching
+  queues_.unpost(req);  // no longer eligible for shared-memory matching
   req->via_any_source = true;
   if (obs::Recorder* rec = eng_.recorder()) {
     rec->metrics().counter("ch3.anysource.binds").add(1);
@@ -443,8 +424,8 @@ void Ch3Process::send_shm(MpidRequest* req, const void* buf, std::size_t len) {
   } else {
     // CH3 shared-memory rendezvous (the left half of Figure 2).
     m.header.kind = ShmHdr::Kind::Rts;
-    m.header.rdv_id = next_shm_rdv_++;
-    shm_rdv_out_.emplace(m.header.rdv_id, ShmRdvOut{req, bytes, len, req->peer});
+    m.header.rdv_id = next_rdv_++;
+    rdv_out_.emplace(m.header.rdv_id, RdvOut{req, bytes});
   }
   shm_->send(fabric_.topology().local_index(req->peer), std::move(m));
   if (eager) complete_send(req);  // copied into the message — buffer reusable
@@ -480,10 +461,10 @@ void Ch3Process::process_shm(const ShmHdr& hdr, std::vector<std::byte> payload) 
       deliver_local(arrival(hdr, UnexMsg::Kind::ShmRdv, std::move(payload)));
       break;
     case ShmHdr::Kind::Cts: {
-      auto it = shm_rdv_out_.find(hdr.rdv_id);
-      NMX_ASSERT_MSG(it != shm_rdv_out_.end(), "shm CTS for unknown rendezvous");
-      const ShmRdvOut out = it->second;
-      shm_rdv_out_.erase(it);
+      auto it = rdv_out_.find(hdr.rdv_id);
+      NMX_ASSERT_MSG(it != rdv_out_.end(), "shm CTS for unknown rendezvous");
+      const RdvOut out = it->second;
+      rdv_out_.erase(it);
       nemesis::Message m;
       m.src_local = local_index_;
       m.header.kind = ShmHdr::Kind::Data;
@@ -491,12 +472,12 @@ void Ch3Process::process_shm(const ShmHdr& hdr, std::vector<std::byte> payload) 
       m.header.tag = out.req->tag;
       m.header.context = out.req->context;
       m.header.rdv_id = hdr.rdv_id;
-      m.header.len = out.len;
+      m.header.len = out.req->len;
       m.header.span = out.req->span;
       // The one sender-side copy, made while the send is still incomplete
-      // (see ShmRdvOut); from here on the user may reuse the buffer.
-      m.payload.assign(out.buf, out.buf + out.len);
-      shm_->send(fabric_.topology().local_index(out.dst), std::move(m));
+      // (see RdvOut); from here on the user may reuse the buffer.
+      m.payload.assign(out.buf, out.buf + out.req->len);
+      shm_->send(fabric_.topology().local_index(out.req->peer), std::move(m));
       complete_send(out.req);
       break;
     }
@@ -531,14 +512,14 @@ void Ch3Process::send_legacy(MpidRequest* req, const void* buf, std::size_t len)
     nm_isend(req->peer, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
              [this, req](nmad::Request& nr) {
                complete_send(req);
-               eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
+               release_later(nr);
              });
   } else {
     // CH3 network rendezvous — whose DATA message will trigger
     // NewMadeleine's own internal rendezvous: the nested handshake of Fig 2.
     hdr.kind = ShmHdr::Kind::Rts;
-    hdr.rdv_id = next_net_rdv_++;
-    net_rdv_out_.emplace(hdr.rdv_id, std::make_pair(req, buf));
+    hdr.rdv_id = next_rdv_++;
+    rdv_out_.emplace(hdr.rdv_id, RdvOut{req, static_cast<const std::byte*>(buf)});
     legacy_send_ctl(req->peer, hdr);
   }
 }
@@ -561,7 +542,7 @@ void Ch3Process::legacy_fetch_ctl(const nmad::ProbeInfo& info) {
              eng_.schedule_in_checked(calib::copy_cost(got), [this, cell, src, got] {
                legacy_process_ctl(src, std::move(*cell), got);
              });
-             eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
+             release_later(nr);
            });
 }
 
@@ -577,13 +558,15 @@ void Ch3Process::legacy_process_ctl(int src, std::vector<std::byte> cell, std::s
                              cell.begin() + static_cast<std::ptrdiff_t>(len)}));
       break;
     case ShmHdr::Kind::Cts: {
-      auto it = net_rdv_out_.find(hdr.rdv_id);
-      NMX_ASSERT_MSG(it != net_rdv_out_.end(), "legacy CTS for unknown rendezvous");
-      auto [req, buf] = it->second;
-      net_rdv_out_.erase(it);
+      auto it = rdv_out_.find(hdr.rdv_id);
+      NMX_ASSERT_MSG(it != rdv_out_.end(), "legacy CTS for unknown rendezvous");
+      const RdvOut out = it->second;
+      rdv_out_.erase(it);
       nm_isend(src, pack_tag(kLegacyDataContext, static_cast<int>(hdr.rdv_id & 0x7fffffff)),
-               buf, req->len,
-               [this, req](nmad::Request&) { complete_send(req); });
+               out.buf, out.req->len, [this, req = out.req](nmad::Request& nr) {
+                 complete_send(req);
+                 release_later(nr);
+               });
       break;
     }
     case ShmHdr::Kind::Data:
@@ -597,7 +580,7 @@ void Ch3Process::legacy_grant(int src, int tag, std::uint64_t rdv_id, MpidReques
   nm_irecv(src, pack_tag(kLegacyDataContext, static_cast<int>(rdv_id & 0x7fffffff)), req->rbuf,
            req->len, [this, req, src, tag](nmad::Request& nr) {
              complete_recv(req, src, tag, nr.received, nr.peer_span);
-             eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
+             release_later(nr);
            });
   ShmHdr cts;
   cts.kind = ShmHdr::Kind::Cts;
@@ -609,9 +592,7 @@ void Ch3Process::legacy_grant(int src, int tag, std::uint64_t rdv_id, MpidReques
 void Ch3Process::legacy_send_ctl(int dst, const ShmHdr& hdr) {
   auto cell = serialize_ctl(hdr, nullptr, 0);
   nm_isend(dst, pack_tag(kLegacyCtlContext, 0), cell.data(), cell.size(),
-           [this](nmad::Request& nr) {
-             eng_.schedule_checked(eng_.now(), [this, pr = &nr] { core_->release(pr); });
-           });
+           [this](nmad::Request& nr) { release_later(nr); });
 }
 
 // ---------------------------------------------------------------------------
@@ -622,14 +603,7 @@ std::optional<mpi::Status> Ch3Process::iprobe(int src, int tag, int context) {
   enter_progress();
   leave_progress();
   // CH3-matched traffic (shared memory, self, legacy network).
-  for (const UnexMsg& m : unexpected_) {
-    if (!mpi::envelope_matches(src, tag, context, m.src, m.tag, m.context)) continue;
-    mpi::Status st;
-    st.source = m.src;
-    st.tag = m.tag;
-    st.count = m.len;
-    return st;
-  }
+  if (auto st = queues_.probe(src, tag, context)) return st;
   // NewMadeleine's buffers (bypass path).
   if (cfg_.bypass) {
     const std::optional<int> src_filter =

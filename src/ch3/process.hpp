@@ -31,6 +31,7 @@
 #include "ch3/anysource.hpp"
 #include "ch3/packet.hpp"
 #include "ch3/request.hpp"
+#include "mpi/match_queues.hpp"
 #include "mpi/transport.hpp"
 #include "nemesis/shm.hpp"
 #include "net/fabric.hpp"
@@ -75,7 +76,8 @@ class Ch3Process final : public mpi::Transport {
   pioman::Manager* pioman() { return pioman_.get(); }
   const AnySourceLists& any_source_lists() const { return as_lists_; }
   std::size_t outstanding_requests() const { return requests_.size(); }
-  std::size_t unexpected_count() const { return unexpected_.size(); }
+  std::size_t posted_count() const { return queues_.posted_count(); }
+  std::size_t unexpected_count() const { return queues_.unexpected_count(); }
 
  private:
   /// §3.1.2: the path traffic to or from a peer takes — the paper's per-VC
@@ -97,15 +99,15 @@ class Ch3Process final : public mpi::Transport {
     std::vector<std::byte> payload;
   };
 
-  /// A shm rendezvous awaiting its CTS. `buf` views the sender's buffer, not
-  /// a copy: the send completes only in the CTS handler, after the DATA
-  /// message has copied the bytes, and MPI forbids touching the buffer of an
-  /// incomplete send, so the view stays valid until then.
-  struct ShmRdvOut {
+  /// A CH3 rendezvous send (shared memory or legacy netmod) awaiting its
+  /// CTS; `req->len` bytes go to `req->peer`. `buf` views the sender's
+  /// buffer, not a copy: the send completes only once the DATA message has
+  /// taken the bytes (copied in the shm CTS handler, or read by
+  /// NewMadeleine's send on the legacy path), and MPI forbids touching the
+  /// buffer of an incomplete send, so the view stays valid until then.
+  struct RdvOut {
     MpidRequest* req;
     const std::byte* buf;
-    std::size_t len;
-    int dst;
   };
 
   /// Completion context attached to every NewMadeleine request we create.
@@ -122,6 +124,8 @@ class Ch3Process final : public mpi::Transport {
                           std::function<void(nmad::Request&)> done, obs::SpanId span = 0);
   nmad::Request* nm_irecv(int src, nmad::Tag tag, void* buf, std::size_t len,
                           std::function<void(nmad::Request&)> done, obs::SpanId span = 0);
+  /// Free a finished legacy-path nmad request, after its completion callback.
+  void release_later(nmad::Request& nr);
 
   Route route(int peer) const;
 
@@ -137,10 +141,7 @@ class Ch3Process final : public mpi::Transport {
   void release_deferred(MpidRequest* req);      // re-check blocking, then post
   void as_probe_all();                          // probe nmad for AS heads
 
-  // CH3 queues (shared-memory / self / legacy-net matching)
-  MpidRequest* match_posted(int src, int tag, int context);
-  void push_posted(MpidRequest* req);
-  void remove_posted(MpidRequest* req);
+  // CH3 matching (shared-memory / self / legacy-net traffic)
   bool match_unexpected(MpidRequest* req);  // consume an unexpected msg if any
   void deliver_local(UnexMsg msg);          // arrival -> match or store
   void accept(MpidRequest* req, UnexMsg&& msg);  // a matched message -> its request
@@ -185,19 +186,15 @@ class Ch3Process final : public mpi::Transport {
   std::list<NmCtx> free_ctxs_;
 
   // ADI3 queue pair (§3.1.1) for traffic CH3 itself matches.
-  std::list<MpidRequest*> posted_queue_;
-  std::list<UnexMsg> unexpected_;
+  mpi::MatchQueues<MpidRequest, UnexMsg> queues_;
 
   AnySourceLists as_lists_;
 
-  // shared-memory CH3 rendezvous state
-  std::uint64_t next_shm_rdv_ = 1;
-  std::map<std::uint64_t, ShmRdvOut> shm_rdv_out_;
+  // CH3 rendezvous state: outbound sends of both paths share one id space;
+  // shm grants wait here for their DATA (legacy grants wait in nmad).
+  std::uint64_t next_rdv_ = 1;
+  std::map<std::uint64_t, RdvOut> rdv_out_;
   std::map<std::pair<int, std::uint64_t>, MpidRequest*> shm_rdv_in_;
-
-  // legacy CH3 network rendezvous state
-  std::uint64_t next_net_rdv_ = 1;
-  std::map<std::uint64_t, std::pair<MpidRequest*, const void*>> net_rdv_out_;
 
   int depth_ = 0;
 };

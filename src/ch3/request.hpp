@@ -33,10 +33,6 @@ struct MpidRequest : mpi::TxRequest {
   /// 300 ns the paper measures (§4.1.1).
   bool via_any_source = false;
 
-  /// Bookkeeping for the CH3 posted-receive queue (shared-memory matching).
-  bool in_posted_queue = false;
-  std::list<MpidRequest*>::iterator posted_it{};
-
   std::list<MpidRequest>::iterator self{};
 };
 

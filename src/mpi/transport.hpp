@@ -22,15 +22,6 @@ namespace nmx::mpi {
 inline constexpr int ANY_SOURCE = -1;
 inline constexpr int ANY_TAG = -1;
 
-/// MPI envelope matching: does a message from (src, tag, ctx) satisfy a
-/// receive or probe for (want_src, want_tag, want_ctx)? `want_src` may be
-/// ANY_SOURCE and `want_tag` ANY_TAG; contexts always match exactly.
-constexpr bool envelope_matches(int want_src, int want_tag, int want_ctx, int src, int tag,
-                                int ctx) {
-  return want_ctx == ctx && (want_src == ANY_SOURCE || want_src == src) &&
-         (want_tag == ANY_TAG || want_tag == tag);
-}
-
 struct Status {
   int source = -1;
   int tag = -1;

@@ -10,6 +10,7 @@
 
 #include "ch3/anysource.hpp"
 #include "ch3/packet.hpp"
+#include "ch3/process.hpp"
 #include "ch3/request.hpp"
 #include "mpi/cluster.hpp"
 
@@ -287,7 +288,7 @@ class RecycledRequest : public ::testing::TestWithParam<bool> {
     constexpr int kCtx = 0;  // the world communicator's user context
     constexpr double kSecondSendAt = 200e-6;
     cluster.run([&](mpi::Comm& c) {
-      mpi::Transport& tx = cluster.transport(c.rank());
+      auto& tx = static_cast<ch3::Ch3Process&>(cluster.transport(c.rank()));
       if (c.rank() == 1) {
         int v = 111;
         c.send(&v, sizeof(v), 0, 7);
@@ -307,7 +308,8 @@ class RecycledRequest : public ::testing::TestWithParam<bool> {
       out.node_reused = second == first;
       EXPECT_FALSE(second->completed);
       EXPECT_FALSE(second->via_any_source);
-      EXPECT_FALSE(second->in_posted_queue);  // remote known source: nmad matches it
+      // Remote known source: nmad matches it, so CH3's posted queue stays empty.
+      EXPECT_EQ(tx.posted_count(), 0u);
       ASSERT_NE(second->nmad_req, nullptr);
       EXPECT_EQ(second->nmad_req->tag, ch3::pack_tag(kCtx, 8));
       EXPECT_FALSE(second->nmad_req->completed);
@@ -401,6 +403,12 @@ TEST_P(LegacyPath, CarriesBytesLikeBypass) {
       EXPECT_EQ(in, msg);
     }
   });
+  // Every NewMadeleine request the legacy protocol created (control cells,
+  // eager cells, rendezvous DATA on both sides) has been released.
+  for (int p = 0; p < 2; ++p) {
+    auto& ch3 = static_cast<ch3::Ch3Process&>(cluster.transport(p));
+    EXPECT_EQ(ch3.core().outstanding_requests(), 0u) << "rank " << p;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LegacyPath,

@@ -5,7 +5,8 @@ Four passes guard the invariants the runtime test tiers depend on:
 
   determinism        no wall clocks, no unseeded entropy, no hash-map
                      iteration order leaking into results in the simulated
-                     layers (src/sim, src/nmad, src/net, src/obs)
+                     layers (src/sim, net, nmad, nemesis, pioman, ch3, mpi,
+                     coll, baseline, obs)
   wire-conformance   every wire::Entry::Kind enumerator is charged in
                      header_bytes(), named in kind_name(), counted by
                      kNumKinds and pinned in tests/wire_test.cpp
@@ -51,7 +52,8 @@ from nmxlint.checks import (  # noqa: E402
 )
 from nmxlint.source import CHECK_NAMES, Finding, SourceFile  # noqa: E402
 
-DETERMINISM_SCOPE = ("src/sim", "src/nmad", "src/net", "src/obs")
+DETERMINISM_SCOPE = ("src/sim", "src/nmad", "src/net", "src/obs", "src/mpi", "src/ch3",
+                     "src/baseline", "src/coll", "src/nemesis", "src/pioman")
 _EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([a-z\-]+(?:\s*,\s*[a-z\-]+)*)")
 
 
